@@ -110,6 +110,52 @@ func TestGoldenQueuedReports(t *testing.T) {
 	}
 }
 
+// TestGoldenMultiQueuedReport pins the multi-core queued path: four cores
+// (pr, canneal, mcf, xalancbmk) at +TEMPO under queued timing, sharing the
+// queued LLC and DRAM, on a short run. It is the only golden whose queues
+// see traffic from several private hierarchies at once, so a change to the
+// queued engine's scheduling that the single-core golden misses shows up
+// here. Same -update convention as the goldens above.
+func TestGoldenMultiQueuedReport(t *testing.T) {
+	kernels := []string{"pr", "canneal", "mcf", "xalancbmk"}
+	traces := make([]*Trace, len(kernels))
+	for i, k := range kernels {
+		tr, err := NewTrace(k, 40_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = tr
+	}
+	cfg := DefaultConfig()
+	cfg.Instructions = 30_000
+	cfg.Warmup = 5_000
+	cfg.Apply(TEMPO)
+	cfg.Timing = TimingQueued
+	cfg.CheckInvariants = true
+	res, err := RunMulti(cfg, traces...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	WriteReport(&buf, res)
+
+	path := filepath.Join("testdata", "golden", "mix4-queued.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -update` to create snapshots)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("multi-core queued report diverged from %s.\ngot:\n%s\nwant:\n%s\n(rerun with -update if the change is intended)",
+			path, buf.Bytes(), want)
+	}
+}
+
 // TestGoldenMechanismReports pins the per-mechanism report sections: the
 // victima and revelator lines in WriteReport are baselined deliberately
 // (there is no external reference for their exact counts), while the default
