@@ -2,12 +2,15 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"atcsim/internal/mem"
 )
 
 // Queued wraps a Cache with ChampSim-style bounded request deques (RQ, WQ,
-// PQ, VAPQ) stepped one cycle at a time. It implements Lower, so a queued
+// PQ, VAPQ) advanced cycle by cycle. The engine only steps the cycles at
+// which a queue can change state (see nextEvent) and jumps over the idle
+// cycles between them. It implements Lower, so a queued
 // hierarchy is built by interposing one Queued per level: the inner cache's
 // lower pointer is the next level's Queued wrapper, which routes demand
 // misses into the lower RQ and evicted dirty lines into the lower WQ.
@@ -44,6 +47,11 @@ type Queued struct {
 	wq   ring
 	pq   ring
 	vapq ring
+
+	// pending counts the RQ entries not serviced yet. processRQ serves in
+	// FIFO order, so they are always the RQ's last pending entries and the
+	// serviced ones form its prefix.
+	pending int
 
 	now int64
 	seq uint64
@@ -95,19 +103,59 @@ func (q *Queued) ResetStats() { q.qst = QueueStats{} }
 // entries waiting only for their fill cycle to pass do not count — they
 // retire on their own as time advances.
 func (q *Queued) busy() bool {
-	if !q.wq.empty() || !q.pq.empty() || !q.vapq.empty() {
-		return true
-	}
-	for i := 0; i < q.rq.len(); i++ {
-		if !q.rq.at(i).done {
-			return true
-		}
-	}
-	return false
+	return q.pending > 0 || !q.wq.empty() || !q.pq.empty() || !q.vapq.empty()
 }
 
-// catchUp advances the engine to cycle: stepping while there is queued work,
-// fast-forwarding across idle gaps.
+// nextEvent returns the earliest cycle after now at which step can change
+// state, or math.MaxInt64 when every queue is empty. Each queue is FIFO and
+// only its head (for the RQ: its oldest serviced entry and its first
+// pending one) can move, so the candidates are:
+//
+//   - the RQ head's fill becomes ready (retire frees its slot);
+//   - the first pending RQ entry becomes eligible;
+//   - the WQ head becomes eligible;
+//   - the VAPQ head's staging delay elapses, unless the PQ is full — a
+//     full PQ only drains at a PQ event;
+//   - the PQ head becomes eligible (prefetchers may date it in the future).
+//
+// Every cycle strictly between now and the result is a no-op step apart from
+// the clock, which is what lets the wait loops jump over them. An eligible
+// RQ entry blocked on the MSHRs is an event on every cycle it stays
+// blocked: each such cycle prunes the MSHR list, counts mshr_full and may
+// drop PQ prefetches.
+func (q *Queued) nextEvent() int64 {
+	next := int64(math.MaxInt64)
+	if q.rq.len() > q.pending {
+		next = q.rq.at(0).res.Ready
+	}
+	if q.pending > 0 {
+		next = min(next, q.rq.at(q.rq.len()-q.pending).enq+1)
+	}
+	if !q.wq.empty() {
+		next = min(next, q.wq.at(0).enq+1)
+	}
+	if !q.vapq.empty() && !q.pq.full() {
+		next = min(next, q.vapq.at(0).enq+q.qcfg.VAPQLatency)
+	}
+	if !q.pq.empty() {
+		next = min(next, q.pq.at(0).enq+1)
+	}
+	return max(next, q.now+1)
+}
+
+// advance jumps to the engine's next event and steps it, returning the
+// cycles that passed. Callers count per-stalled-cycle statistics with the
+// return value, so they match a loop that stepped every cycle. The queues
+// must hold an event (see nextEvent).
+func (q *Queued) advance() uint64 {
+	from := q.now
+	q.now = q.nextEvent() - 1
+	q.step()
+	return uint64(q.now - from)
+}
+
+// catchUp advances the engine to cycle, stepping only the event cycles on
+// the way and jumping over the idle ones.
 func (q *Queued) catchUp(cycle int64) {
 	for q.now < cycle {
 		if !q.busy() {
@@ -115,16 +163,22 @@ func (q *Queued) catchUp(cycle int64) {
 			q.retire()
 			return
 		}
+		next := q.nextEvent()
+		if next > cycle {
+			q.now = cycle
+			return
+		}
+		q.now = next - 1
 		q.step()
 	}
 }
 
-// Drain steps until every queue is empty, force-retiring in-flight RQ slots
-// at the end. Used at epoch boundaries (warmup reset, end of run) and by
-// the lockstep differential harness between operations.
+// Drain advances until every queue is empty, force-retiring in-flight RQ
+// slots at the end. Used at epoch boundaries (warmup reset, end of run) and
+// by the lockstep differential harness between operations.
 func (q *Queued) Drain() {
 	for q.busy() {
-		q.step()
+		q.advance()
 	}
 	for !q.rq.empty() {
 		if e := q.rq.at(0); e.res.Ready > q.now {
@@ -192,11 +246,8 @@ func (q *Queued) stageVAPQ() {
 // the MSHRs are saturated blocks the whole queue for the cycle.
 func (q *Queued) processRQ() int {
 	budget := q.qcfg.MaxRead
-	for i := 0; i < q.rq.len() && budget > 0; i++ {
+	for i := q.rq.len() - q.pending; i < q.rq.len() && budget > 0; i++ {
 		e := q.rq.at(i)
-		if e.done {
-			continue
-		}
 		if e.enq >= q.now {
 			break
 		}
@@ -206,6 +257,7 @@ func (q *Queued) processRQ() int {
 		}
 		e.res = q.c.Access(&e.req, q.now)
 		e.done = true
+		q.pending--
 		budget--
 	}
 	return budget
@@ -256,7 +308,7 @@ func (q *Queued) enqueuePrefetch(line mem.Addr, cycle int64, distant bool) int64
 }
 
 // Access implements Lower: reads are pushed through the RQ (stalling on a
-// full queue), writebacks through the WQ. The call steps the engine until
+// full queue), writebacks through the WQ. The call advances the engine until
 // the request's outcome is known, so the caller keeps the analytic engine's
 // synchronous interface while occupancy, bandwidth and backpressure come
 // from the queues.
@@ -265,8 +317,7 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 
 	if req.Kind == mem.Writeback {
 		for q.wq.full() {
-			q.qst.WQFull++
-			q.step()
+			q.qst.WQFull += q.advance()
 		}
 		q.seq++
 		slot := q.wq.push()
@@ -286,24 +337,25 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 		q.qst.RQMerged++
 	}
 	for q.rq.full() {
-		q.qst.RQFull++
-		q.step()
+		q.qst.RQFull += q.advance()
 	}
 	q.seq++
 	e := q.rq.push()
 	*e = queueEntry{req: *req, line: line, enq: q.now, seq: q.seq}
+	q.pending++
 	// The slot pointer stays valid while stepping: step() only pops from
 	// the RQ and a pop never moves entries.
 	for !e.done {
-		q.step()
+		q.advance()
 	}
 	return e.res
 }
 
 // CheckInvariants audits the queue structures: bounded occupancy, head
 // indices in range, push/pop conservation (no entry lost or duplicated),
-// FIFO sequence order, entries not from the future, and the inner cache's
-// own invariants.
+// FIFO sequence order, entries not from the future, serviced RQ entries
+// forming a prefix counted by the pending count, and the inner cache's own
+// invariants.
 func (q *Queued) CheckInvariants() error {
 	name := q.c.Name()
 	rings := []struct {
@@ -332,6 +384,16 @@ func (q *Queued) CheckInvariants() error {
 			if (it.r == &q.rq || it.r == &q.wq) && e.enq > q.now {
 				return fmt.Errorf("%s %s: entry enqueued at %d beyond now %d", name, it.label, e.enq, q.now)
 			}
+		}
+	}
+	serviced := q.rq.len() - q.pending
+	if q.pending < 0 || serviced < 0 {
+		return fmt.Errorf("%s rq: pending count %d outside [0,%d]", name, q.pending, q.rq.len())
+	}
+	for i := 0; i < q.rq.len(); i++ {
+		if done := q.rq.at(i).done; done != (i < serviced) {
+			return fmt.Errorf("%s rq: entry %d done=%v, but %d of %d entries pending (serviced entries must form a prefix)",
+				name, i, done, q.pending, q.rq.len())
 		}
 	}
 	st := q.Stats()
