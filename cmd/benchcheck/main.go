@@ -1,13 +1,16 @@
-// Command benchcheck turns `go test -bench -benchmem` output into a JSON
-// baseline and gates regressions against a committed one.
+// Command benchcheck keeps the benchmark trajectory in BENCH.json and gates
+// regressions against it. BENCH.json holds one labelled run per recorded
+// measurement, oldest first; each run names the machine, GOMAXPROCS, go
+// version and commit it was measured on.
 //
-// Record a baseline:
+// Record a run (the label must be new; the machine and GOMAXPROCS come from
+// the go test output, the go version from the toolchain running benchcheck):
 //
-//	go test -bench . -benchmem -run xxx ./internal/benchmarks/ | benchcheck -update BENCH_pr5.json
+//	go test -bench . -benchmem -run xxx ./internal/benchmarks/ | benchcheck -record <label> -commit <commit>
 //
-// Gate a change (CI):
+// Gate a change (CI) against a recorded run:
 //
-//	go test -bench . -benchmem -run xxx ./internal/benchmarks/ | benchcheck -baseline BENCH_pr5.json
+//	go test -bench . -benchmem -run xxx ./internal/benchmarks/ | benchcheck -baseline <label>
 //
 // The gate FAILS (exit 1) on allocs/op regressions. For benchmarks whose
 // baseline is 0 allocs/op the comparison is exact — the zero-allocation
@@ -17,22 +20,26 @@
 // wiggle slightly with iteration count. ns/op is timing-sensitive on shared
 // runners, so slowdowns beyond -warn-pct only WARN.
 //
-// Compare two committed baselines (review aid, never fails):
+// Compare two recorded runs by label (review aid, never fails):
 //
-//	benchcheck -compare BENCH_pr8.json BENCH_pr10.json
+//	benchcheck -compare <old-label> <new-label>
 //
-// prints a per-benchmark delta table — ns/op, allocs/op and the percentage
-// change of each — so a PR's performance story is readable straight from
-// its committed baseline files.
+// prints where each run was measured and a per-benchmark delta table —
+// ns/op, allocs/op and the percentage change of each — so a change's
+// performance story is readable straight from the committed trajectory.
+// An unknown label is an error that lists the recorded ones. benchcheck
+// runs from the repository root, where BENCH.json lives.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,105 +53,179 @@ type Entry struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the committed benchmark baseline file.
-type Baseline struct {
-	// Note describes how the baseline was produced (machine, benchtime).
+// Run is one labelled measurement of the benchmark set. Commit names the
+// tree that was measured; a trailing "+" means the change that adds the run
+// on top of that commit. Fields a historical run did not record are empty
+// (GOMAXPROCS 0).
+type Run struct {
+	Label      string           `json:"label"`
+	Commit     string           `json:"commit"`
+	Machine    string           `json:"machine"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	Go         string           `json:"go"`
 	Note       string           `json:"note,omitempty"`
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
+// Trajectory is the committed BENCH.json: every recorded run, oldest first.
+type Trajectory struct {
+	Runs []Run `json:"runs"`
+}
+
+const trajectoryFile = "BENCH.json"
+
 func main() {
 	var (
-		update   = flag.String("update", "", "write parsed results to this baseline file and exit")
-		baseline = flag.String("baseline", "", "compare parsed results against this baseline file")
-		compares = flag.Bool("compare", false, "diff two baseline files given as arguments (old.json new.json) instead of reading stdin")
-		note     = flag.String("note", "", "note to embed when writing a baseline")
+		record   = flag.String("record", "", "append the parsed results to the trajectory under this new label")
+		commit   = flag.String("commit", "", "commit the recorded run measured (with -record; append + for an uncommitted change on top of it)")
+		note     = flag.String("note", "", "note to store with the recorded run (with -record)")
+		baseline = flag.String("baseline", "", "gate the parsed results against the run with this label")
+		compares = flag.Bool("compare", false, "diff two recorded runs given as label arguments (old new) instead of reading stdin")
 		warnPct  = flag.Float64("warn-pct", 15, "warn when ns/op regresses more than this percentage")
 		slackPct = flag.Float64("alloc-slack-pct", 10, "allocs/op headroom for benchmarks with a nonzero baseline (zero baselines are exact)")
 	)
 	flag.Parse()
-	if *compares {
-		if *update != "" || *baseline != "" || flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchcheck: -compare takes exactly two baseline files and no other mode flags")
-			os.Exit(2)
+	modes := 0
+	for _, on := range []bool{*record != "", *baseline != "", *compares} {
+		if on {
+			modes++
 		}
-		old, err := loadBaseline(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
-		}
-		cur, err := loadBaseline(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
-		}
-		os.Stdout.WriteString(deltaTable(flag.Arg(0), flag.Arg(1), old.Benchmarks, cur.Benchmarks))
-		return
 	}
-	if (*update == "") == (*baseline == "") {
-		fmt.Fprintln(os.Stderr, "benchcheck: exactly one of -update, -baseline or -compare is required")
-		os.Exit(2)
+	if modes != 1 {
+		fail(2, errors.New("exactly one of -record, -baseline or -compare is required"))
+	}
+
+	traj, err := loadTrajectory(trajectoryFile)
+	if err != nil && !(*record != "" && errors.Is(err, os.ErrNotExist)) {
+		fail(2, err)
+	}
+
+	if *compares {
+		if flag.NArg() != 2 {
+			fail(2, errors.New("-compare takes exactly two labels"))
+		}
+		old, err := traj.find(flag.Arg(0))
+		if err != nil {
+			fail(2, err)
+		}
+		cur, err := traj.find(flag.Arg(1))
+		if err != nil {
+			fail(2, err)
+		}
+		fmt.Printf("%s: %s\n%s: %s\n", old.Label, old.describe(), cur.Label, cur.describe())
+		os.Stdout.WriteString(deltaTable(old.Label, cur.Label, old.Benchmarks, cur.Benchmarks))
+		return
 	}
 
 	got, err := parse(os.Stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
-	if len(got) == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no benchmark lines on stdin")
-		os.Exit(2)
+	if len(got.Benchmarks) == 0 {
+		fail(2, errors.New("no benchmark lines on stdin"))
 	}
 
-	if *update != "" {
-		b := Baseline{Note: *note, Benchmarks: got}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
+	if *record != "" {
+		if *commit == "" {
+			fail(2, errors.New("-record needs -commit"))
 		}
-		if err := os.WriteFile(*update, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
+		got.Label, got.Commit, got.Note, got.Go = *record, *commit, *note, runtime.Version()
+		if err := traj.add(got); err != nil {
+			fail(2, err)
 		}
-		fmt.Printf("benchcheck: wrote %d benchmarks to %s\n", len(got), *update)
+		if err := traj.write(trajectoryFile); err != nil {
+			fail(2, err)
+		}
+		fmt.Printf("benchcheck: recorded %d benchmarks as %q in %s (%s)\n",
+			len(got.Benchmarks), got.Label, trajectoryFile, got.describe())
 		return
 	}
 
-	base, err := loadBaseline(*baseline)
+	base, err := traj.find(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
-
-	fails, warns := compare(base.Benchmarks, got, *warnPct, *slackPct)
+	fails, warns := compare(base.Benchmarks, got.Benchmarks, *warnPct, *slackPct)
 	for _, w := range warns {
 		fmt.Println("WARN:", w)
 	}
 	for _, f := range fails {
 		fmt.Println("FAIL:", f)
 	}
-	fmt.Printf("benchcheck: %d benchmarks compared, %d failures, %d warnings\n",
-		len(got), len(fails), len(warns))
+	fmt.Printf("benchcheck: %d benchmarks compared against %q, %d failures, %d warnings\n",
+		len(got.Benchmarks), base.Label, len(fails), len(warns))
 	if len(fails) > 0 {
 		os.Exit(1)
 	}
 }
 
-// loadBaseline reads and decodes a committed baseline file.
-func loadBaseline(path string) (Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Baseline{}, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Baseline{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return b, nil
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "benchcheck:", err)
+	os.Exit(code)
 }
 
-// deltaTable renders a per-benchmark comparison of two baselines: ns/op and
+// describe renders where a run was measured, naming unrecorded fields.
+func (r Run) describe() string {
+	or := func(s string) string {
+		if s == "" {
+			return "unrecorded"
+		}
+		return s
+	}
+	procs := "unrecorded"
+	if r.GOMAXPROCS > 0 {
+		procs = strconv.Itoa(r.GOMAXPROCS)
+	}
+	return fmt.Sprintf("commit %s, machine %s, GOMAXPROCS %s, go %s",
+		or(r.Commit), or(r.Machine), procs, or(r.Go))
+}
+
+// loadTrajectory reads and decodes a committed trajectory file.
+func loadTrajectory(path string) (Trajectory, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Trajectory{}, err
+	}
+	var t Trajectory
+	if err := json.Unmarshal(data, &t); err != nil {
+		return Trajectory{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
+}
+
+// find returns the run recorded under label.
+func (t Trajectory) find(label string) (Run, error) {
+	for _, r := range t.Runs {
+		if r.Label == label {
+			return r, nil
+		}
+	}
+	labels := make([]string, len(t.Runs))
+	for i, r := range t.Runs {
+		labels[i] = r.Label
+	}
+	return Run{}, fmt.Errorf("no run labelled %q (recorded: %s)", label, strings.Join(labels, ", "))
+}
+
+// add appends r as the newest run. Labels are unique: a recorded run is
+// history, so re-measuring means a new label.
+func (t *Trajectory) add(r Run) error {
+	if _, err := t.find(r.Label); err == nil {
+		return fmt.Errorf("label %q is already recorded", r.Label)
+	}
+	t.Runs = append(t.Runs, r)
+	return nil
+}
+
+func (t Trajectory) write(path string) error {
+	data, err := json.MarshalIndent(t, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// deltaTable renders a per-benchmark comparison of two runs: ns/op and
 // allocs/op side by side with the percentage change of each, one row per
 // benchmark in sorted order. Benchmarks present on only one side are listed
 // as added/removed rather than silently dropped.
@@ -191,13 +272,19 @@ func deltaTable(oldName, newName string, old, cur map[string]Entry) string {
 	return b.String()
 }
 
-// parse extracts benchmark result lines from go test output. The -N GOMAXPROCS
-// suffix is stripped so baselines transfer across machines.
-func parse(r io.Reader) (map[string]Entry, error) {
-	out := make(map[string]Entry)
+// parse extracts benchmark result lines from go test output, along with the
+// machine (the "cpu:" header) and GOMAXPROCS (the -N name suffix, absent
+// when it is 1). The suffix is stripped from the names so runs compare
+// across machines.
+func parse(r io.Reader) (Run, error) {
+	out := Run{Benchmarks: make(map[string]Entry)}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && out.Machine == "" {
+			out.Machine = strings.TrimSpace(cpu)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -205,12 +292,13 @@ func parse(r io.Reader) (map[string]Entry, error) {
 		if len(f) < 4 {
 			continue
 		}
-		name := f[0]
+		name, procs := f[0], 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
+		out.GOMAXPROCS = max(out.GOMAXPROCS, procs)
 		e := Entry{}
 		// f[1] is the iteration count; the rest are value/unit pairs.
 		for i := 2; i+1 < len(f); i += 2 {
@@ -227,7 +315,7 @@ func parse(r io.Reader) (map[string]Entry, error) {
 				e.AllocsPerOp = v
 			}
 		}
-		out[name] = e
+		out.Benchmarks[name] = e
 	}
 	return out, sc.Err()
 }
@@ -267,7 +355,7 @@ func compare(base, got map[string]Entry, warnPct, slackPct float64) (fails, warn
 	}
 	for n := range got {
 		if _, ok := base[n]; !ok {
-			warns = append(warns, fmt.Sprintf("%s: not in baseline (add it with -update)", n))
+			warns = append(warns, fmt.Sprintf("%s: not in baseline (record a new run with -record)", n))
 		}
 	}
 	return fails, warns

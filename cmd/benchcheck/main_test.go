@@ -1,12 +1,14 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 const sampleOutput = `goos: linux
 goarch: amd64
+cpu: Example CPU @ 2.10GHz
 BenchmarkCacheAccessHit-8     	  200000	        19.68 ns/op	       0 B/op	       0 allocs/op
 BenchmarkTLBLookupHit-8       	  200000	        12.19 ns/op	       0 B/op	       0 allocs/op
 BenchmarkFig14_EnhancementLadder 	       1	485117825 ns/op	208691716 B/op	 2915543 allocs/op
@@ -14,10 +16,14 @@ PASS
 `
 
 func TestParse(t *testing.T) {
-	got, err := parse(strings.NewReader(sampleOutput))
+	run, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if run.Machine != "Example CPU @ 2.10GHz" || run.GOMAXPROCS != 8 {
+		t.Fatalf("machine %q, GOMAXPROCS %d; want the cpu header and the -8 suffix", run.Machine, run.GOMAXPROCS)
+	}
+	got := run.Benchmarks
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(got))
 	}
@@ -116,5 +122,37 @@ func TestCompare(t *testing.T) {
 		"BenchmarkC": {NsPerOp: 100, AllocsPerOp: 0},
 	}, 15, 10); len(fails) != 1 {
 		t.Fatalf("beyond slack should fail, got %v", fails)
+	}
+}
+
+func TestTrajectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	var traj Trajectory
+	for _, label := range []string{"before", "after"} {
+		if err := traj.add(Run{Label: label, Commit: "abc1234", Benchmarks: map[string]Entry{"BenchmarkHot": {NsPerOp: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := traj.add(Run{Label: "before"}); err == nil {
+		t.Fatal("a recorded label was accepted twice")
+	}
+	if err := traj.write(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := loadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Runs) != 2 || back.Runs[0].Label != "before" || back.Runs[1].Label != "after" {
+		t.Fatalf("round trip lost the run order: %+v", back.Runs)
+	}
+	if r, err := back.find("after"); err != nil || r.Benchmarks["BenchmarkHot"].NsPerOp != 1 {
+		t.Fatalf("find(after) = %+v, %v", r, err)
+	}
+	if _, err := back.find("missing"); err == nil || !strings.Contains(err.Error(), "before, after") {
+		t.Fatalf("unknown label error %v does not list the recorded labels", err)
+	}
+	if d := (Run{Commit: "abc1234+"}).describe(); !strings.Contains(d, "GOMAXPROCS unrecorded") || !strings.Contains(d, "abc1234+") {
+		t.Errorf("describe() = %q", d)
 	}
 }

@@ -44,7 +44,7 @@ func buildQueuedHierarchy(b testing.TB) *cache.Queued {
 
 // BenchmarkQueuedAccessHit measures the steady-state L1 hit through the
 // queued engine: catch-up, write-queue scan, read-queue push and the
-// per-cycle operate steps until the hit retires.
+// step that services the hit.
 func BenchmarkQueuedAccessHit(b *testing.B) {
 	q := buildQueuedHierarchy(b)
 	req := &mem.Request{Addr: 0x1000, Kind: mem.Load, IP: 1}
@@ -60,7 +60,9 @@ func BenchmarkQueuedAccessHit(b *testing.B) {
 
 // BenchmarkQueuedAccessMissStream measures the streaming-miss path: every
 // access misses all three levels, books DRAM and carries fills (and the
-// resulting evictions) back up through the deques.
+// resulting evictions) back up through the deques. Misses arrive faster
+// than fills return, so the L1 read queue stays full and most accesses
+// stall on it, jumping from one retire event to the next.
 func BenchmarkQueuedAccessMissStream(b *testing.B) {
 	q := buildQueuedHierarchy(b)
 	req := &mem.Request{Kind: mem.Load, IP: 2}
@@ -75,7 +77,7 @@ func BenchmarkQueuedAccessMissStream(b *testing.B) {
 
 // TestZeroAllocQueuedAccessHit extends the zero-allocation invariant to the
 // queued engine's operate path: once warm, a hit through the full
-// wrapper stack (deque push, per-cycle stepping, retire) must not touch the
+// wrapper stack (deque push, event stepping, retire) must not touch the
 // heap — the rings are preallocated at construction.
 func TestZeroAllocQueuedAccessHit(t *testing.T) {
 	skipIfInstrumented(t)
@@ -90,5 +92,34 @@ func TestZeroAllocQueuedAccessHit(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("queued cache hit allocates %v objects per access, want 0", allocs)
+	}
+}
+
+// TestZeroAllocQueuedAccessMissStream pins the zero-allocation invariant on
+// the paths a hit never reaches: read-queue-full stalls, the jumps over idle
+// cycles between events, and misses carried through every level to DRAM.
+// It fails if the stream stops stalling, since it would then no longer
+// cover the stall path.
+func TestZeroAllocQueuedAccessMissStream(t *testing.T) {
+	skipIfInstrumented(t)
+	q := buildQueuedHierarchy(t)
+	req := &mem.Request{Kind: mem.Load, IP: 2}
+	i, cycle := 0, int64(0)
+	miss := func() {
+		req.Addr = mem.Addr(i) << 6
+		q.Access(req, cycle)
+		i++
+		cycle += 10
+	}
+	for i < 64 {
+		miss() // fill the read queues
+	}
+	before := q.Stats().RQFull
+	allocs := testing.AllocsPerRun(1000, miss)
+	if allocs != 0 {
+		t.Fatalf("queued miss stream allocates %v objects per access, want 0", allocs)
+	}
+	if q.Stats().RQFull == before {
+		t.Fatal("miss stream never stalled on a full read queue")
 	}
 }

@@ -10,10 +10,10 @@ import (
 // Queued wraps a Cache with ChampSim-style bounded request deques (RQ, WQ,
 // PQ, VAPQ) advanced cycle by cycle. The engine only steps the cycles at
 // which a queue can change state (see nextEvent) and jumps over the idle
-// cycles between them. It implements Lower, so a queued
-// hierarchy is built by interposing one Queued per level: the inner cache's
-// lower pointer is the next level's Queued wrapper, which routes demand
-// misses into the lower RQ and evicted dirty lines into the lower WQ.
+// cycles between them. It implements Lower, so a queued hierarchy is built
+// by interposing one Queued per level: the inner cache's lower pointer is
+// the next level's Queued wrapper, which routes demand misses into the
+// lower RQ and evicted dirty lines into the lower WQ.
 //
 // Semantics relative to the analytic engine:
 //
@@ -49,8 +49,8 @@ type Queued struct {
 	vapq ring
 
 	// pending counts the RQ entries not serviced yet. processRQ serves in
-	// FIFO order, so they are always the RQ's last pending entries and the
-	// serviced ones form its prefix.
+	// FIFO order, so these entries are always the RQ's tail and the
+	// serviced ones its prefix.
 	pending int
 
 	now int64
@@ -344,9 +344,14 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 	*e = queueEntry{req: *req, line: line, enq: q.now, seq: q.seq}
 	q.pending++
 	// The slot pointer stays valid while stepping: step() only pops from
-	// the RQ and a pop never moves entries.
+	// the RQ and a pop never moves entries. This wait has no idle cycles to
+	// jump over. Every earlier read was serviced before its own Access
+	// returned, so the new entry is the first pending one and becomes
+	// eligible on the next cycle. Each cycle it then stays blocked on the
+	// MSHRs is an event too. Plain steps are therefore exact, and they skip
+	// the nextEvent cost on the hit path.
 	for !e.done {
-		q.advance()
+		q.step()
 	}
 	return e.res
 }

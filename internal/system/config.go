@@ -120,7 +120,7 @@ type Config struct {
 
 	// Timing selects the hierarchy timing engine: "analytic" (default, the
 	// latency-composition model) or "queued" (bounded per-level RQ/WQ/PQ/VAPQ
-	// deques with per-cycle stepping and backpressure) — see TimingModels()
+	// deques with cycle-level backpressure) — see TimingModels()
 	// and the DESIGN.md "Queued timing" section. Empty resolves to "analytic"
 	// and is byte-identical to the pre-switch simulator; omitempty keeps the
 	// canonical config JSON — and therefore experiment run keys and cached
