@@ -10,7 +10,8 @@ import (
 
 // These tests pin the zero-allocation invariant of the per-request hot path
 // (see DESIGN.md, "Performance"): once a simulation reaches steady state, a
-// cache hit, a TLB hit and a DRAM slot booking must not touch the heap.
+// cache hit, a TLB hit, a DRAM slot booking and a page walk over mapped pages
+// must not touch the heap.
 // They complement the -benchmem CI gate with a hard in-repo assertion.
 
 func skipIfInstrumented(t *testing.T) {
@@ -74,5 +75,20 @@ func TestZeroAllocDRAMSlotBooking(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DRAM read allocates %v objects per booking, want 0", allocs)
+	}
+}
+
+func TestZeroAllocPageWalk(t *testing.T) {
+	skipIfInstrumented(t)
+	w := newWarmWalker(t)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := w.Walk(warmVA(i), 7, int64(warmPages+i)*100); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm page walk allocates %v objects per walk, want 0", allocs)
 	}
 }

@@ -178,10 +178,10 @@ func (w *Walker) Walk(va, ip mem.Addr, cycle int64) (WalkResult, error) {
 		if s.Leaf {
 			leafSrc = res.Src
 			w.st.LeafService.Record(res.Src)
-		} else if frame, ok := w.pt.NodeFrame(va, s.Level); ok {
+		} else {
 			// Reading a level-k PTE yields the pointer to the level-(k-1)
 			// table: fill PSCL-k.
-			w.psc.Insert(va, s.Level, frame)
+			w.psc.Insert(va, s.Level, s.Next)
 		}
 	}
 	w.slots = append(w.slots, cur)

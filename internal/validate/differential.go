@@ -289,8 +289,10 @@ func DiffWalker(n int, seed int64, huge bool) error {
 
 // checkWalkSteps re-derives the structure of a full radix walk: levels
 // descend one by one from the root to the leaf, exactly the last step is a
-// leaf, and every PTE address below the root equals the owning table's
-// frame plus the VA's radix index at that level.
+// leaf, every PTE address below the root equals the owning table's frame
+// plus the VA's radix index at that level, and every non-leaf step's Next
+// is the frame of the table its PTE points at (what the walker fills the
+// PSC with).
 func checkWalkSteps(pt *vm.PageTable, va mem.Addr, steps []vm.WalkStep, leaf int) error {
 	if want := mem.PTLevels - leaf + 1; len(steps) != want {
 		return fmt.Errorf("full walk has %d steps, want %d", len(steps), want)
@@ -314,6 +316,16 @@ func checkWalkSteps(pt *vm.PageTable, va mem.Addr, steps []vm.WalkStep, leaf int
 				return fmt.Errorf("step %d (level %d): PTE address %#x, oracle computes %#x",
 					j, s.Level, s.PTEAddr, want)
 			}
+		}
+		if s.Leaf {
+			if s.Next != 0 {
+				return fmt.Errorf("step %d (leaf level %d) carries next-table frame %#x", j, s.Level, s.Next)
+			}
+		} else if next, ok := pt.NodeFrame(va, s.Level); !ok || s.Next != next {
+			// A non-leaf PTE points at the level-(L-1) table: the frame the
+			// walker inserts into PSCL-L.
+			return fmt.Errorf("step %d (level %d): next-table frame %#x, oracle computes %#x (found %v)",
+				j, s.Level, s.Next, next, ok)
 		}
 	}
 	return nil

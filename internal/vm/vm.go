@@ -119,13 +119,19 @@ func (a *FrameAllocator) AllocHugeData() (mem.Addr, error) {
 // Allocated returns the total number of frames handed out.
 func (a *FrameAllocator) Allocated() uint64 { return a.frameCount }
 
-// node is one page-table page: 512 slots that either point at a child node
-// (levels 5..2) or hold a leaf translation (level 1).
-type node struct {
-	frame    mem.Addr // physical base address of this table page
-	children map[uint16]*node
-	leaves   map[uint16]mem.Addr // leaf level: slot -> data frame base
-}
+// tableSlots is the number of 8-byte PTEs in one 4 KiB page-table page.
+const tableSlots = mem.PageSize / mem.PTESize
+
+// table is one page-table page laid out as hardware lays it out: 512 slots
+// indexed by the VA's radix chunk at the table's level. An interior slot
+// holds the child table's arena index plus one (zero means absent); a leaf
+// slot holds the data frame base with the present bit set, because the
+// scatter allocator's first data frame is physical frame 0.
+type table [tableSlots]uint64
+
+// present marks a mapped leaf slot. Frames are page aligned, so bit 0 is
+// free in a leaf slot.
+const present = 1
 
 // WalkStep describes one level of a page-table walk: the physical address of
 // the PTE the hardware walker must read and the level it belongs to.
@@ -133,17 +139,23 @@ type WalkStep struct {
 	Level   int      // 5 (root) down to the leaf level
 	PTEAddr mem.Addr // physical byte address of the 8-byte PTE
 	Leaf    bool     // true on the step that yields the physical frame
+	// Next is the frame of the level-(Level-1) table a non-leaf PTE points
+	// to: what the hardware PTE holds and a PSC entry at Level caches.
+	// Zero on the leaf step.
+	Next mem.Addr
 }
 
 // PageTable is a five-level radix page table with demand paging: the first
 // touch of a virtual page allocates its data frame and any missing interior
 // table pages. With huge pages enabled, leaves live at level 2 and map 2MB
-// frames (transparent huge pages, always-on).
+// frames (transparent huge pages, always-on). Table pages live in one
+// pointer-free arena; tables[0] is the root.
 type PageTable struct {
-	alloc *FrameAllocator
-	root  *node
-	pages uint64
-	huge  bool
+	alloc  *FrameAllocator
+	tables []table
+	frames []mem.Addr // frames[i] is the physical base of tables[i]
+	pages  uint64
+	huge   bool
 }
 
 // NewPageTable creates an empty table backed by the allocator.
@@ -156,8 +168,9 @@ func NewPageTable(alloc *FrameAllocator) (*PageTable, error) {
 		return nil, err
 	}
 	return &PageTable{
-		alloc: alloc,
-		root:  &node{frame: rootFrame, children: make(map[uint16]*node)},
+		alloc:  alloc,
+		tables: make([]table, 1),
+		frames: []mem.Addr{rootFrame},
 	}, nil
 }
 
@@ -193,65 +206,19 @@ func (pt *PageTable) pageMask() mem.Addr {
 // MappedPages returns the number of virtual pages mapped so far.
 func (pt *PageTable) MappedPages() uint64 { return pt.pages }
 
-// pteAddr computes the physical address of slot idx within a table page.
-func pteAddr(n *node, idx uint16) mem.Addr {
-	return n.frame + mem.Addr(idx)*mem.PTESize
-}
-
 // Translate maps a virtual address to its physical address, allocating the
 // page (and any interior tables) on first touch.
 func (pt *PageTable) Translate(va mem.Addr) (mem.Addr, error) {
-	frame, err := pt.frameOf(va)
-	if err != nil {
-		return 0, err
-	}
-	return frame | va&pt.pageMask(), nil
+	_, pa, err := pt.descend(va, 0, nil)
+	return pa, err
 }
 
-// frameOf returns the data frame base for va's page (4KB or 2MB).
-func (pt *PageTable) frameOf(va mem.Addr) (mem.Addr, error) {
-	leaf := pt.leafLevel()
-	n := pt.root
-	for level := mem.PTLevels; level > leaf; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
-		child, ok := n.children[idx]
-		if !ok {
-			frame, err := pt.alloc.AllocPT()
-			if err != nil {
-				return 0, err
-			}
-			child = &node{frame: frame}
-			if level > leaf+1 {
-				child.children = make(map[uint16]*node)
-			} else {
-				child.leaves = make(map[uint16]mem.Addr)
-			}
-			n.children[idx] = child
-		}
-		n = child
-	}
-	idx := uint16(mem.VPNChunk(va, leaf))
-	frame, ok := n.leaves[idx]
-	if !ok {
-		var err error
-		if pt.huge {
-			frame, err = pt.alloc.AllocHugeData()
-		} else {
-			frame, err = pt.alloc.AllocData()
-		}
-		if err != nil {
-			return 0, err
-		}
-		n.leaves[idx] = frame
-		pt.pages++
-	}
-	return frame, nil
-}
-
-// Walk returns the five PTE reads a hardware walker performs for va, from
-// the root (level 5) down to the leaf (level 1), allocating the mapping on
-// first touch. startLevel trims the walk for paging-structure-cache hits:
-// only steps with Level <= startLevel are returned.
+// Walk returns the PTE reads a hardware walker performs for va, one per
+// level from the root (level 5) down to the leaf (level 1, or level 2 with
+// huge pages), allocating the mapping on first touch. startLevel trims the
+// walk for paging-structure-cache hits: non-leaf steps above startLevel are
+// skipped, so a PSC hit leaves fewer reads. The leaf step is always
+// returned.
 func (pt *PageTable) Walk(va mem.Addr, startLevel int) ([]WalkStep, mem.Addr, error) {
 	return pt.WalkInto(va, startLevel, nil)
 }
@@ -263,42 +230,82 @@ func (pt *PageTable) WalkInto(va mem.Addr, startLevel int, buf []WalkStep) ([]Wa
 	if startLevel < 1 || startLevel > mem.PTLevels {
 		return nil, 0, fmt.Errorf("vm: bad start level %d", startLevel)
 	}
-	// Ensure the mapping exists (demand paging).
-	frame, err := pt.frameOf(va)
-	if err != nil {
-		return nil, 0, err
-	}
+	return pt.descend(va, startLevel, buf)
+}
+
+// descend walks va's radix path from the root in one pass. Missing tables
+// are allocated top-down and then the data frame, which fixes the order the
+// allocator hands out frames. Non-leaf steps at or below startLevel and
+// the leaf step are appended to buf; startLevel 0 appends none.
+func (pt *PageTable) descend(va mem.Addr, startLevel int, buf []WalkStep) ([]WalkStep, mem.Addr, error) {
 	leaf := pt.leafLevel()
-	steps := buf
-	n := pt.root
+	t := 0
 	for level := mem.PTLevels; level > leaf; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
-		if level <= startLevel {
-			steps = append(steps, WalkStep{Level: level, PTEAddr: pteAddr(n, idx)})
+		idx := mem.VPNChunk(va, level)
+		child := pt.tables[t][idx]
+		if child == 0 {
+			frame, err := pt.alloc.AllocPT()
+			if err != nil {
+				return nil, 0, err
+			}
+			pt.tables = append(pt.tables, table{})
+			pt.frames = append(pt.frames, frame)
+			child = uint64(len(pt.tables))
+			pt.tables[t][idx] = child
 		}
-		n = n.children[idx]
+		if level <= startLevel {
+			buf = append(buf, WalkStep{
+				Level:   level,
+				PTEAddr: pt.frames[t] + mem.Addr(idx)*mem.PTESize,
+				Next:    pt.frames[child-1],
+			})
+		}
+		t = int(child - 1)
 	}
-	idx := uint16(mem.VPNChunk(va, leaf))
-	steps = append(steps, WalkStep{Level: leaf, PTEAddr: pteAddr(n, idx), Leaf: true})
-	return steps, frame | va&pt.pageMask(), nil
+	idx := mem.VPNChunk(va, leaf)
+	pte := pt.tables[t][idx]
+	if pte&present == 0 {
+		var frame mem.Addr
+		var err error
+		if pt.huge {
+			frame, err = pt.alloc.AllocHugeData()
+		} else {
+			frame, err = pt.alloc.AllocData()
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		pte = uint64(frame) | present
+		pt.tables[t][idx] = pte
+		pt.pages++
+	}
+	if startLevel > 0 {
+		buf = append(buf, WalkStep{
+			Level:   leaf,
+			PTEAddr: pt.frames[t] + mem.Addr(idx)*mem.PTESize,
+			Leaf:    true,
+		})
+	}
+	return buf, mem.Addr(pte&^present) | va&pt.pageMask(), nil
 }
 
 // NodeFrame returns the physical base address of the table page that a
 // walker starting below level k would consult, i.e. the level-(k-1) table
 // for va. It is what a paging-structure-cache entry at level k stores.
 // k must be in [leafLevel+1, PTLevels]; the mapping must already exist.
+// Walks report the same frame as WalkStep.Next; NodeFrame re-derives it
+// from the root, which makes it the oracle for the PSC fills.
 func (pt *PageTable) NodeFrame(va mem.Addr, k int) (mem.Addr, bool) {
 	if k <= pt.leafLevel() || k > mem.PTLevels {
 		return 0, false
 	}
-	n := pt.root
+	t := 0
 	for level := mem.PTLevels; level >= k; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
-		child, ok := n.children[idx]
-		if !ok {
+		child := pt.tables[t][mem.VPNChunk(va, level)]
+		if child == 0 {
 			return 0, false
 		}
-		n = child
+		t = int(child - 1)
 	}
-	return n.frame, true
+	return pt.frames[t], true
 }
