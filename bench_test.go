@@ -75,12 +75,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cfg.Instructions), "insts/op")
 }
 
-// benchMultiCoreRun measures one 4-core TEMPO simulation end to end with a
-// fixed intra-simulation worker count. Serial (SimJobs=1) executes the same
-// barrier schedule on one goroutine, so the pair isolates the speedup of
-// intra-simulation parallelism with identical work and identical results.
-func benchMultiCoreRun(b *testing.B, simJobs int) {
-	b.Helper()
+// BenchmarkMultiCoreRun measures one 4-core TEMPO simulation end to end:
+// private L1/L2/TLBs per core, the shared LLC and DRAM channel, and the
+// serial interleaved scheduler stepping the least-advanced core.
+func BenchmarkMultiCoreRun(b *testing.B) {
 	var traces []*Trace
 	for i, name := range []string{"pr", "mcf", "cc", "xalancbmk"} {
 		tr, err := NewTrace(name, 100_000, int64(1+i))
@@ -93,26 +91,13 @@ func benchMultiCoreRun(b *testing.B, simJobs int) {
 	cfg.Instructions = 50_000
 	cfg.Warmup = 10_000
 	cfg.Apply(TEMPO)
-	cfg.SimJobs = simJobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunMulti(cfg, traces...)
-		if err != nil {
+		if _, err := RunMulti(cfg, traces...); err != nil {
 			b.Fatal(err)
-		}
-		if res.Parallel == nil {
-			b.Fatal("multi-core run did not use the barrier engine")
 		}
 	}
 }
-
-// BenchmarkMultiCoreRunSerial is the -sim-jobs 1 baseline; compare against
-// BenchmarkMultiCoreRunParallel for the intra-simulation speedup.
-func BenchmarkMultiCoreRunSerial(b *testing.B) { benchMultiCoreRun(b, 1) }
-
-// BenchmarkMultiCoreRunParallel runs the same simulation with one worker
-// per CPU (-sim-jobs 0) and must produce byte-identical results faster.
-func BenchmarkMultiCoreRunParallel(b *testing.B) { benchMultiCoreRun(b, 0) }
 
 // Ablation benchmarks — the design-choice studies DESIGN.md calls out.
 

@@ -115,46 +115,6 @@ func TestChaos(t *testing.T) {
 	}
 }
 
-// TestChaosSimJobsDeterminism injects the canonical fault plan into sweeps
-// whose eligible multi-core simulations run on the intra-simulation barrier
-// engine. The degraded report bytes must be identical between serial barrier
-// execution (SimJobs=1) and one worker per CPU (SimJobs=0): faults fire on
-// run identities, not worker schedules, so parallelism inside a simulation
-// must not change which points fail or what the survivors print. This is the
-// assertion CI's parallel-engine job runs under -race.
-func TestChaosSimJobsDeterminism(t *testing.T) {
-	sweep := func(simJobs int) string {
-		sc := Quick()
-		sc.SimJobs = simJobs
-		r, err := NewRunnerWith(sc, Options{
-			Jobs: 4, Faults: faultinject.NewPlan(1, chaosRules()...), Retry: fastRetry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, id := range []string{"fig17", "multicore"} {
-			rep, err := ByIDWith(r, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(rep.String())
-		}
-		return b.String()
-	}
-	serial := sweep(1)
-	parallel := sweep(0)
-	if serial != parallel {
-		t.Errorf("degraded chaos reports differ between sim-jobs=1 and sim-jobs=0:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-	// The plan must have degraded the sweep the same way TestChaos expects:
-	// one FAILED point (multicore's TEMPO mix), fig17 healed through retry.
-	if n := strings.Count(serial, "FAILED("); n != 1 {
-		t.Errorf("FAILED points = %d, want 1:\n%s", n, serial)
-	}
-}
-
 // TestChaosThreeFaultSweep drives three permanent faults into a three-point
 // sweep and checks complete degradation accounting: the sweep still
 // produces a full report set with exactly three FAILED points. This is the

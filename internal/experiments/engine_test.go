@@ -92,47 +92,6 @@ func TestScratchStateDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimJobsDeterminism extends TestScratchStateDeterminism to the
-// intra-simulation parallel engine: sweeps covering multi-core (barrier
-// engine), SMT (serial fallback) and queued-timing multi-core machines must
-// render byte-identical reports whether each simulation runs its cores
-// serially (SimJobs=1) or on one worker per CPU (SimJobs=0), on top of any
-// sweep-level jobs count.
-func TestSimJobsDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several multi-core sweeps")
-	}
-	ids := []string{"fig17", "multicore"}
-	sweep := func(timing string, simJobs, jobs int) string {
-		sc := engineScale()
-		sc.Timing = timing
-		sc.SimJobs = simJobs
-		r, err := NewRunnerWith(sc, Options{Jobs: jobs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, id := range ids {
-			rep, err := ByIDWith(r, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(rep.String())
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	for _, timing := range []string{"", "queued"} {
-		want := sweep(timing, 1, 1)
-		for _, run := range []struct{ simJobs, jobs int }{{0, 1}, {1, 4}, {0, 4}} {
-			if got := sweep(timing, run.simJobs, run.jobs); got != want {
-				t.Fatalf("timing=%q sim-jobs=%d jobs=%d diverged from serial:\n--- want ---\n%s\n--- got ---\n%s",
-					timing, run.simJobs, run.jobs, want, got)
-			}
-		}
-	}
-}
-
 // TestDiskCacheResume checks that a second runner pointed at the same cache
 // directory replays every result from disk — zero simulations — and still
 // produces identical output.

@@ -65,12 +65,6 @@ type Scale struct {
 	// see system.TimingModels). "analytic" is normalized to "" so those
 	// sweeps share run keys and disk-cache entries with legacy sweeps.
 	Timing string
-	// SimJobs caps the intra-simulation barrier-parallel engine's worker
-	// goroutines for every eligible multi-core run in the sweep
-	// (system.Config.SimJobs): 0 = one worker per CPU, 1 = serial execution
-	// of the identical barrier schedule. Reports are byte-identical for any
-	// value, and the knob is excluded from run keys and the disk cache.
-	SimJobs int
 }
 
 // Full is the default experiment scale: every benchmark, 300K measured
@@ -617,7 +611,6 @@ func (r *Runner) baseConfig() system.Config {
 	if r.sc.Timing != "" && r.sc.Timing != system.TimingAnalytic {
 		cfg.Timing = r.sc.Timing
 	}
-	cfg.SimJobs = r.sc.SimJobs
 	return cfg
 }
 

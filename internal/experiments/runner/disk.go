@@ -17,11 +17,12 @@ import (
 // different version are ignored (treated as misses), so bumping this after
 // an incompatible change to the result or key layout invalidates stale
 // caches instead of mis-deserializing them. Version 2 added the result
-// checksum. Version 3 invalidates multi-core results computed by the
-// pre-parallel serial scheduler: eligible multi-core machines now prefault
-// their trace footprints and resolve shared accesses at cycle-window
-// barriers, which changes their (still deterministic) numbers.
-const FormatVersion = 3
+// checksum. Version 3 invalidated multi-core results when eligible
+// multi-core machines moved to a barrier-parallel schedule. Version 4
+// invalidates them again: every multi-core machine now runs on the serial
+// interleaved scheduler with prefaulted frames, so multi-core numbers that
+// came from barrier waves (or from demand-paged frames) no longer match.
+const FormatVersion = 4
 
 // Disk is an on-disk result store: one JSON file per run key, named by the
 // key's hash. Writes are crash-safe: the entry is written to a temp file in

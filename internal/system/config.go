@@ -160,19 +160,6 @@ type Config struct {
 	// the run. Telemetry is a pure observer: simulated timing is
 	// bit-identical with or without it. Excluded from JSON results.
 	Telemetry *telemetry.Hub `json:"-"`
-
-	// SimJobs caps the worker goroutines the deterministic intra-simulation
-	// parallel engine runs eligible multi-core simulations on (one goroutine
-	// per core, synchronized by cycle-window barriers with shared LLC/DRAM
-	// requests resolved in canonical core order — see DESIGN.md §10). 0 uses
-	// one worker per available CPU; 1 executes the identical barrier
-	// schedule serially. Reports are byte-identical for every value, which
-	// is why the knob is excluded from JSON: it must never influence
-	// experiment run keys or cached results. Ignored (the legacy
-	// interleaved scheduler runs) for single-core and SMT machines, runs
-	// with a request tracer attached, the victima mechanism, or an L1D
-	// prefetcher — configurations whose step path touches shared state.
-	SimJobs int `json:"-"`
 }
 
 // DefaultConfig reproduces Table I: a Sunny-Cove-like core with 48KB L1D,

@@ -72,15 +72,6 @@ type MetricsSink struct {
 	xlatInserts   metrics.Counter
 	xlatSpecs     metrics.Counter
 	xlatMisspecs  metrics.Counter
-
-	// Barrier-parallel engine (Result.Parallel; zero under the serial
-	// scheduler).
-	parRuns    metrics.Counter
-	parRounds  metrics.Counter
-	parWaves   metrics.Counter
-	parShared  metrics.Counter
-	parSkew    metrics.Counter
-	parRefills metrics.Counter
 }
 
 // cacheLevelNames label the three cache levels the sink aggregates over
@@ -135,18 +126,6 @@ func NewMetricsSink(reg *metrics.Registry) *MetricsSink {
 			"Speculative translation fetches issued (revelator)."),
 		xlatMisspecs: reg.Counter("xlat_misspeculations_total",
 			"Speculations squashed by the verification walk (revelator)."),
-		parRuns: reg.Counter("sim_parallel_runs_total",
-			"Simulations executed by the deterministic barrier-parallel engine."),
-		parRounds: reg.Counter("sim_parallel_rounds_total",
-			"Cycle-window barrier rounds executed by the parallel engine."),
-		parWaves: reg.Counter("sim_parallel_waves_total",
-			"Shared-request resolution waves executed at parallel-engine barriers."),
-		parShared: reg.Counter("sim_parallel_shared_requests_total",
-			"Requests parked at the parallel-engine coordinator and serviced in canonical core order."),
-		parSkew: reg.Counter("sim_parallel_skew_cycles_total",
-			"Per-round spread between the most- and least-advanced core clocks, summed over rounds."),
-		parRefills: reg.Counter("sim_parallel_trace_refills_total",
-			"Per-core trace ring-buffer refills (batched trace streaming)."),
 	}
 	for li, level := range cacheLevelNames {
 		lv := metrics.L("level", level)
@@ -290,15 +269,6 @@ func (m *MetricsSink) Record(res *Result) {
 		m.xlatInserts.Add(c.Xlat.TLBBlockInserts)
 		m.xlatSpecs.Add(c.Xlat.Speculations)
 		m.xlatMisspecs.Add(c.Xlat.SpecWrong)
-	}
-
-	if p := res.Parallel; p != nil {
-		m.parRuns.Inc()
-		m.parRounds.Add(p.Rounds)
-		m.parWaves.Add(p.Waves)
-		m.parShared.Add(p.SharedRequests)
-		m.parSkew.Add(p.SkewCycles)
-		m.parRefills.Add(p.TraceRefills)
 	}
 
 	d := &res.DRAM

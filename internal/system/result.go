@@ -90,36 +90,6 @@ type Result struct {
 	L2RecallReplay  Recall
 	LLCRecallTrans  Recall
 	LLCRecallReplay Recall
-
-	// Parallel reports the barrier-parallel engine's behavior; nil (and
-	// omitted from JSON, keeping serial-scheduler results byte-identical)
-	// when the serial interleaved scheduler ran.
-	Parallel *ParallelStats `json:",omitempty"`
-}
-
-// ParallelStats describes one run of the deterministic barrier-parallel
-// engine (DESIGN.md §10). Every field is a pure function of config and
-// traces — identical for every SimJobs value and worker schedule — so the
-// struct serializes into byte-identical reports.
-type ParallelStats struct {
-	// Rounds counts cycle-window barriers executed across warmup and
-	// measurement.
-	Rounds uint64
-	// Waves counts shared-request resolution waves; a round contains zero
-	// or more waves.
-	Waves uint64
-	// SharedRequests counts L2-miss-path requests parked at the
-	// coordinator and serviced against the shared LLC/DRAM path in
-	// canonical core order.
-	SharedRequests uint64
-	// SkewCycles accumulates, per round, the spread between the most- and
-	// least-advanced core clocks at the barrier — the cost ceiling of the
-	// lockstep windows.
-	SkewCycles uint64
-	// TraceRefills counts per-core trace ring-buffer refills (see
-	// trace.Cursor); it scales with instructions executed, not with
-	// SimJobs.
-	TraceRefills uint64
 }
 
 // QueueLevel aggregates one cache level's queued-engine deque statistics
@@ -171,13 +141,6 @@ func (s *sim) collect() *Result {
 			Xlat:          c.mmu.Mechanism().Stats(),
 		}
 		r.Cores[c.id] = cr
-	}
-	if s.par != nil {
-		ps := s.par.statsSnapshot()
-		for _, c := range s.cores {
-			ps.TraceRefills += c.cur.Refills()
-		}
-		r.Parallel = &ps
 	}
 	for _, l1d := range s.l1ds {
 		r.L1D = append(r.L1D, l1d.Stats())

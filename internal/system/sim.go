@@ -21,11 +21,9 @@ import (
 type coreCtx struct {
 	id int
 	tr *trace.Trace
-	// cur streams the trace through a fixed per-core ring buffer
-	// (trace.CursorBlock instructions per refill): each core reads its own
-	// resident window instead of sharing one big instruction slice, which
-	// matters once cores step on separate goroutines.
-	cur    *trace.Cursor
+	// pc is the index of the next instruction in tr.Insts; the trace
+	// replays cyclically, so it wraps to 0 at the end.
+	pc     int
 	core   *cpu.Core
 	bp     *cpu.Perceptron
 	mmu    *ptw.MMU
@@ -86,12 +84,6 @@ type sim struct {
 	// all models is validated; violations panic.
 	checking bool
 	checkCtr int
-
-	// par is the deterministic barrier-parallel engine, non-nil only for
-	// eligible multi-core machines (see parallelEligible). When set, phases
-	// run one goroutine per core with shared LLC/DRAM requests resolved in
-	// canonical core order at cycle-window barriers.
-	par *parEngine
 }
 
 // Run simulates a single-core machine over one trace.
@@ -175,7 +167,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 
 	s := &sim{cfg: cfg, llc: llc, channel: channel}
 	s.checking = cfg.CheckInvariants || invariantsDefault
-	parallel := parallelEligible(cfg, len(traces), shareCoreCaches)
 
 	// Under queued timing every level sits behind a cache.Queued wrapper;
 	// lower-pointer chaining goes through the wrappers so evict writebacks
@@ -194,14 +185,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		llcPath = q
 	}
 
-	// Eligible multi-core machines run under the barrier-parallel engine:
-	// each core's private L2 then points at a per-core portal instead of
-	// the shared LLC path, so shared accesses park at the coordinator and
-	// resolve in canonical core order (see parallel.go).
-	if parallel {
-		s.par = newParEngine(s, llcPath, len(traces))
-	}
-
 	// coreCaches bundles one core group's caches with the access paths the
 	// core (and walker) issue into.
 	type coreCaches struct {
@@ -209,15 +192,11 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		l1iPath, l1dPath cache.Lower
 	}
 	var shared *coreCaches
-	newCoreCaches := func(core int) (coreCaches, error) {
+	newCoreCaches := func() (coreCaches, error) {
 		var cc coreCaches
-		l2Lower := llcPath
-		if s.par != nil {
-			l2Lower = s.par.portal(core)
-		}
 		l2Cfg := cfg.L2
 		l2Cfg.TrackRecall = cfg.TrackRecall
-		l2, err := cache.New(l2Cfg, l2Lower)
+		l2, err := cache.New(l2Cfg, llcPath)
 		if err != nil {
 			return cc, err
 		}
@@ -254,7 +233,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		var cc coreCaches
 		if shareCoreCaches {
 			if shared == nil {
-				cc, err = newCoreCaches(i)
+				cc, err = newCoreCaches()
 				if err != nil {
 					return nil, err
 				}
@@ -264,7 +243,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 			}
 			cc = *shared
 		} else {
-			cc, err = newCoreCaches(i)
+			cc, err = newCoreCaches()
 			if err != nil {
 				return nil, err
 			}
@@ -282,10 +261,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 				return nil, err
 			}
 		}
-		if s.par != nil {
-			// Pin the shared frame allocator's assignment order at build
-			// time (canonical core order) so concurrent cores never
-			// demand-allocate; see prefault.
+		if len(traces) > 1 && !shareCoreCaches {
 			if err := prefault(pt, tr); err != nil {
 				return nil, err
 			}
@@ -355,7 +331,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		s.cores = append(s.cores, &coreCtx{
 			id:      i,
 			tr:      tr,
-			cur:     trace.NewCursor(tr),
 			core:    core,
 			bp:      cpu.NewPerceptron(),
 			mmu:     mmu,
@@ -390,9 +365,46 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 	return s, nil
 }
 
+// prefault maps every page a core's trace will touch — instruction and data
+// — before the run starts. build calls it, in core order, for every machine
+// with more than one trace and private hierarchies. Cores share one frame
+// allocator, so demand paging would hand out frames in an order set by how
+// the cores' first touches interleave, which shifts with anything that
+// moves timing: the mechanism, a prefetcher, TEMPO. Prefaulted, frames
+// depend only on the traces, so every config compared on one mix (baseline
+// vs TEMPO, atp vs victima, with and without a prefetcher) runs on the same
+// physical layout.
+func prefault(pt *vm.PageTable, tr *trace.Trace) error {
+	seen := make(map[mem.Addr]struct{}, 1024)
+	touch := func(va mem.Addr) error {
+		pn := mem.PageNumber(va)
+		if _, ok := seen[pn]; ok {
+			return nil
+		}
+		seen[pn] = struct{}{}
+		_, err := pt.Translate(va)
+		return err
+	}
+	for i := range tr.Insts {
+		in := &tr.Insts[i]
+		if err := touch(in.IP); err != nil {
+			return err
+		}
+		if in.Op == trace.OpLoad || in.Op == trace.OpStore {
+			if err := touch(in.Addr); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // step executes one instruction on core c.
 func (s *sim) step(c *coreCtx) {
-	in := c.cur.Next() // replays the trace cyclically
+	in := &c.tr.Insts[c.pc]
+	if c.pc++; c.pc == len(c.tr.Insts) {
+		c.pc = 0 // replay the trace cyclically
+	}
 
 	d := c.core.NextDispatch()
 
@@ -629,21 +641,10 @@ func (s *sim) snapshot() telemetry.Snapshot {
 	return sn
 }
 
-// runPhase dispatches one warmup/measurement phase to the active scheduler:
-// the barrier-parallel engine when wired, the serial interleaved phase loop
-// otherwise.
-func (s *sim) runPhase(target int) {
-	if s.par != nil {
-		s.par.phase(target)
-		return
-	}
-	s.phase(target)
-}
-
 // run executes warmup + measurement and collects results.
 func (s *sim) run() *Result {
 	if s.cfg.Warmup > 0 {
-		s.runPhase(s.cfg.Warmup)
+		s.phase(s.cfg.Warmup)
 	}
 	s.resetStats()
 	for _, c := range s.cores {
@@ -658,7 +659,7 @@ func (s *sim) run() *Result {
 		s.hb.Begin(s.snapshot())
 	}
 	s.measuring = true
-	s.runPhase(s.cfg.Instructions)
+	s.phase(s.cfg.Instructions)
 	s.measuring = false
 	if s.hb != nil && s.stepped > s.ticked {
 		// Flush the final partial interval so the rows' instruction counts

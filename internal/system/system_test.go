@@ -1,6 +1,8 @@
 package system
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"atcsim/internal/cpu"
@@ -88,6 +90,39 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.LLC.TotalMiss() != b.LLC.TotalMiss() {
 		t.Error("LLC misses differ between identical runs")
+	}
+}
+
+// Each core replays its trace cyclically: a run over a short trace must be
+// byte-identical to the same run over that trace written out several times,
+// which never wraps within the run.
+func TestTraceReplaysCyclically(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Instructions = 8_000
+	cfg.Warmup = 2_000
+	var short, unrolled []*trace.Trace
+	for _, name := range []string{"pr", "mcf"} {
+		tr := buildTrace(t, name, 3_001)
+		long := &trace.Trace{Name: tr.Name}
+		for i := 0; i < 8; i++ {
+			long.Insts = append(long.Insts, tr.Insts...)
+		}
+		short = append(short, tr)
+		unrolled = append(unrolled, long)
+	}
+	run := func(traces []*trace.Trace) []byte {
+		r, err := RunMulti(cfg, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if !bytes.Equal(run(short), run(unrolled)) {
+		t.Error("a wrapped trace does not replay like the same trace unrolled")
 	}
 }
 
@@ -228,6 +263,11 @@ func TestMultiCoreRun(t *testing.T) {
 	}
 	if len(r.Cores) != 4 || len(r.L2) != 4 {
 		t.Fatalf("topology wrong: %d cores, %d L2s", len(r.Cores), len(r.L2))
+	}
+	for i, tr := range traces {
+		if r.Cores[i].Workload != tr.Name {
+			t.Errorf("core row %d holds %q, want %q", i, r.Cores[i].Workload, tr.Name)
+		}
 	}
 	if _, err := RunMulti(cfg, nil); err == nil {
 		t.Error("empty mix accepted")

@@ -126,3 +126,30 @@ func TestTraceReadRejectsGarbage(t *testing.T) {
 		t.Error("truncated trace accepted")
 	}
 }
+
+// TestBuilderBlockAccumulation checks that the chunked builder is invisible
+// to consumers: Len/Full track the budget exactly and Build assembles the
+// emitted sequence contiguously regardless of where block boundaries fall.
+func TestBuilderBlockAccumulation(t *testing.T) {
+	limit := 2*BuilderBlock + 77
+	b := MustNewBuilder("blocks", limit)
+	for i := 0; !b.Full(); i++ {
+		b.Load(i%13, mem.Addr(i)*64)
+		if want := i + 1; b.Len() != want && !b.Full() {
+			t.Fatalf("after %d emits Len=%d", want, b.Len())
+		}
+	}
+	if b.Len() != limit {
+		t.Fatalf("Len=%d at Full, want %d", b.Len(), limit)
+	}
+	b.ALU(0, 5) // past the budget: dropped
+	tr := b.Build()
+	if len(tr.Insts) != limit {
+		t.Fatalf("built %d insts, want %d", len(tr.Insts), limit)
+	}
+	for i := range tr.Insts {
+		if tr.Insts[i].Op != OpLoad || tr.Insts[i].Addr != mem.Addr(i)*64 {
+			t.Fatalf("inst %d corrupted across block boundary: %+v", i, tr.Insts[i])
+		}
+	}
+}

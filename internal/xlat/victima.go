@@ -9,9 +9,6 @@ import (
 
 func init() {
 	Register("victima", newVictima)
-	// Victima's translate path probes and fills the shared LLC, so it must
-	// run under the serial scheduler even on multi-core machines.
-	MarkShared("victima")
 }
 
 // tlbLineBit tags the synthetic line-address namespace Victima's TLB blocks

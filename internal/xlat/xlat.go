@@ -157,7 +157,6 @@ type Factory func(d Deps) (Mechanism, error)
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Factory{}
-	shared     = map[string]bool{}
 )
 
 // Register makes a mechanism available by name (case-insensitive). It
@@ -170,32 +169,6 @@ func Register(name string, f Factory) {
 		panic("xlat: duplicate mechanism " + name)
 	}
 	registry[name] = f
-}
-
-// MarkShared records that the named mechanism's translate path touches
-// machine structures shared between cores (victima probes and fills the
-// LLC). The intra-simulation parallel engine refuses such mechanisms and
-// falls back to the serial scheduler; see CoreLocal.
-func MarkShared(name string) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	shared[strings.ToLower(name)] = true
-}
-
-// CoreLocal reports whether the named mechanism confines its hot-path
-// state to per-core structures (the per-core L2, STLB and walker), making
-// it safe to run on a core's own goroutine under the parallel engine. The
-// empty name resolves to DefaultName; unknown names report false so
-// callers fail safe into the serial scheduler.
-func CoreLocal(name string) bool {
-	if name == "" {
-		name = DefaultName
-	}
-	name = strings.ToLower(name)
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, known := registry[name]
-	return known && !shared[name]
 }
 
 // New builds the named mechanism bound to deps. The empty name resolves to

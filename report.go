@@ -64,12 +64,4 @@ func WriteReport(w io.Writer, res *Result) {
 			q.Name, q.Q.RQFull, q.Q.RQMerged, q.Q.WQFull, q.Q.WQForward,
 			q.Q.PQFull, q.Q.PQMerged, q.Q.VAPQFull, q.Q.MSHRFull)
 	}
-	// The barrier-parallel engine gets one schedule line; serial-scheduler
-	// runs have a nil Parallel and print nothing here, keeping legacy reports
-	// (and their goldens) byte-identical. Every number is independent of
-	// SimJobs, so this line is too.
-	if p := res.Parallel; p != nil {
-		fmt.Fprintf(w, "parallel: %d rounds, %d waves, %d shared requests, skew %d cycles, %d trace refills\n",
-			p.Rounds, p.Waves, p.SharedRequests, p.SkewCycles, p.TraceRefills)
-	}
 }
