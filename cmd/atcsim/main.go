@@ -14,17 +14,14 @@
 // Observability:
 //
 //	atcsim -workload pr -trace-out trace.json            # Perfetto trace
-//	atcsim -workload pr -interval-stats hb.csv -interval 10000
-//	atcsim -workload pr -metrics-addr localhost:9797     # live /metrics + /healthz
-//	atcsim -workload pr -metrics-log snap.jsonl          # periodic registry snapshots
-//	atcsim -workload pr -pprof-addr localhost:6060 -cpuprofile cpu.pb.gz
+//	atcsim -workload pr -interval-stats hb.jsonl -interval 10000   # JSONL heartbeat
+//	atcsim -workload pr -metrics-addr localhost:9797     # live /metrics, /healthz, /debug/pprof/
+//	atcsim -workload pr -cpuprofile cpu.pb.gz
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -58,11 +55,9 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file of sampled request lifecycles")
 		traceSample = flag.Int("trace-sample", telemetry.DefaultSampleEvery, "trace one in N memory instructions")
 		traceBuf    = flag.Int("trace-buf", telemetry.DefaultBufferEvents, "trace ring-buffer capacity in events (oldest overwritten)")
-		hbOut       = flag.String("interval-stats", "", "stream interval heartbeat stats to this file (.jsonl for JSONL, else CSV)")
+		hbOut       = flag.String("interval-stats", "", "stream interval heartbeat rows to this file as JSON Lines")
 		hbEvery     = flag.Int("interval", 10_000, "heartbeat interval in measured instructions")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics (OpenMetrics) and /healthz on this host:port (port 0 picks one)")
-		metricsLog  = flag.String("metrics-log", "", "append a JSONL metrics snapshot to this file at every heartbeat interval")
+		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics (OpenMetrics), /healthz and /debug/pprof/ on this host:port (port 0 picks one)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -80,7 +75,7 @@ func main() {
 	if *stlb <= 0 {
 		fail("-stlb must be positive, got %d", *stlb)
 	}
-	if *hbOut != "" && *hbEvery <= 0 {
+	if (*hbOut != "" || *metricsAddr != "") && *hbEvery <= 0 {
 		fail("-interval must be positive, got %d", *hbEvery)
 	}
 	if *multi != "" && *smt != "" {
@@ -124,7 +119,6 @@ func main() {
 		cfg.LLC.Policy = *llcPolicy
 	}
 
-	// Profiling and live-introspection endpoints.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -139,64 +133,36 @@ func main() {
 		}()
 	}
 
-	// Telemetry hub: each facility only exists when requested, so the
-	// default run carries a nil hub and a pristine hot path.
-	liveMetrics := *metricsAddr != "" || *metricsLog != ""
-	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery,
-		*pprofAddr != "" || liveMetrics)
-	cfg.Telemetry = hub
-
-	// The metrics registry is the single live-introspection surface: the
-	// progress gauges reach expvar through it (PublishExpvar), and the sim_*
-	// gauges are refreshed from heartbeat snapshots via Hub.OnTick — never
-	// from the per-access hot path.
-	var mlog *os.File
-	if liveMetrics || *pprofAddr != "" {
-		reg := metrics.New()
-		reg.GaugeFunc("sim_instructions_done",
-			"Instructions simulated so far (coarse, for liveness).",
-			func() float64 { return float64(hub.ProgressOrNil().Done()) })
-		reg.GaugeFunc("sim_instructions_total",
-			"Instructions this run will simulate.",
-			func() float64 { return float64(hub.ProgressOrNil().Total()) })
-		metrics.PublishExpvar("atcsim", reg)
-		if liveMetrics {
-			if hub.Heartbeat == nil {
-				// OnTick rides the heartbeat cadence; a writer-less heartbeat
-				// provides the ticks without streaming interval stats.
-				hub.Heartbeat = telemetry.NewHeartbeat(nil, telemetry.FormatJSONL, *hbEvery)
-			}
-			gauges := telemetry.NewSnapshotGauges(reg)
-			if *metricsLog != "" {
-				f, err := os.Create(*metricsLog)
-				if err != nil {
-					fail("metrics-log: %v", err)
-				}
-				mlog = f
-			}
-			seq := 0 // OnTick runs on the single simulator goroutine
-			hub.OnTick = func(sn telemetry.Snapshot) {
-				gauges.Publish(sn)
-				if mlog != nil {
-					if err := reg.WriteJSONLSnapshot(mlog, seq); err != nil {
-						fail("metrics-log: %v", err)
-					}
-					seq++
-				}
-			}
-			if *metricsAddr != "" {
-				srv := &metrics.Server{Registry: reg}
-				addr, err := srv.Serve(*metricsAddr)
-				if err != nil {
-					fail("%v", err)
-				}
-				fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics\n", addr)
-			}
+	// The metrics endpoint is the run's one listener. Its sim_* gauges are
+	// set by the heartbeat at every interval, never from the per-access hot
+	// path; the total is known up front.
+	var reg *metrics.Registry
+	if *metricsAddr != "" {
+		reg = metrics.New()
+		threads := 1
+		switch {
+		case *multi != "":
+			threads = len(strings.Split(*multi, ","))
+		case *smt != "":
+			threads = 2
 		}
+		reg.Gauge("sim_instructions_total", "Instructions this run will simulate.").
+			SetUint(uint64(*insts) * uint64(threads))
 	}
 
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
+	// Telemetry hub: each facility only exists when requested, so the
+	// default run carries a nil hub and a pristine hot path.
+	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery, reg)
+	cfg.Telemetry = hub
+
+	if reg != nil {
+		// Serve only once the heartbeat has registered its gauges, so the
+		// first scrape already sees every series.
+		addr, err := (&metrics.Server{Registry: reg}).Serve(*metricsAddr)
+		if err != nil {
+			fail("%v", err)
+		}
+		fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics (pprof under /debug/pprof/)\n", addr)
 	}
 
 	traceLen := *insts + *warmup
@@ -247,11 +213,6 @@ func main() {
 	}
 
 	flushTelemetry(hub, hbFile, *traceOut)
-	if mlog != nil {
-		if err := mlog.Close(); err != nil {
-			fail("metrics-log: %v", err)
-		}
-	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -277,10 +238,11 @@ func main() {
 }
 
 // buildHub assembles the telemetry hub from the observability flags; it
-// returns nil when nothing was requested. The returned file is the open
-// heartbeat stream (closed by flushTelemetry).
-func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery int, progress bool) (*telemetry.Hub, *os.File) {
-	if traceOut == "" && hbOut == "" && !progress {
+// returns nil when nothing was requested. A non-nil reg gets a heartbeat
+// even without -interval-stats, since the heartbeat sets its gauges. The
+// returned file is the open heartbeat stream (closed by flushTelemetry).
+func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery int, reg *metrics.Registry) (*telemetry.Hub, *os.File) {
+	if traceOut == "" && hbOut == "" && reg == nil {
 		return nil, nil
 	}
 	hub := &telemetry.Hub{}
@@ -288,34 +250,18 @@ func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery 
 		hub.Tracer = telemetry.NewTracer(traceBuf, traceSample)
 	}
 	var hbFile *os.File
-	if hbOut != "" {
+	switch {
+	case hbOut != "":
 		f, err := os.Create(hbOut)
 		if err != nil {
 			fail("%v", err)
 		}
-		format := telemetry.FormatCSV
-		if strings.HasSuffix(hbOut, ".jsonl") || strings.HasSuffix(hbOut, ".json") {
-			format = telemetry.FormatJSONL
-		}
-		hub.Heartbeat = telemetry.NewHeartbeat(f, format, hbEvery)
 		hbFile = f
-	}
-	if progress {
-		hub.Progress = &telemetry.Progress{}
+		hub.Heartbeat = telemetry.NewHeartbeat(f, hbEvery, reg)
+	case reg != nil:
+		hub.Heartbeat = telemetry.NewHeartbeat(nil, hbEvery, reg)
 	}
 	return hub, hbFile
-}
-
-// servePprof exposes net/http/pprof and expvar on addr. Simulation progress
-// appears under the "atcsim" expvar (the published metrics registry) rather
-// than as hand-rolled top-level vars.
-func servePprof(addr string) {
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "atcsim: pprof server: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "atcsim: pprof/expvar listening on http://%s/debug/pprof/\n", addr)
 }
 
 // flushTelemetry writes the trace file and closes the heartbeat stream.

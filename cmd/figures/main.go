@@ -14,9 +14,9 @@
 //
 // Long sweeps are observable: -progress (with -log-level
 // debug|info|warn|error) logs each simulation to stderr, -metrics-addr
-// serves live /metrics, /runs and /healthz endpoints, -metrics-log streams
-// JSONL registry snapshots, and -flight-recorder captures a structured
-// post-mortem of permanent failures.
+// serves live /metrics, /runs, /healthz and /debug/pprof/ endpoints on one
+// port, and -flight-recorder captures a structured post-mortem of permanent
+// failures.
 //
 //	figures -list
 //	figures -list-mechanisms

@@ -1,9 +1,11 @@
 package benchmarks
 
 import (
+	"io"
 	"testing"
 
 	"atcsim/internal/mem"
+	"atcsim/internal/metrics"
 	"atcsim/internal/system"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/workloads"
@@ -41,13 +43,13 @@ func benchSim(b *testing.B, hub func() *telemetry.Hub) {
 func BenchmarkSimTelemetryOff(b *testing.B) { benchSim(b, nil) }
 
 // BenchmarkSimTelemetryOn measures the cost of the full observability stack
-// (tracer at the default sampling rate, heartbeat, progress counters).
+// (tracer at the default sampling rate, heartbeat streaming JSONL and
+// setting registry gauges).
 func BenchmarkSimTelemetryOn(b *testing.B) {
 	benchSim(b, func() *telemetry.Hub {
 		return &telemetry.Hub{
 			Tracer:    telemetry.NewTracer(telemetry.DefaultBufferEvents, telemetry.DefaultSampleEvery),
-			Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000),
-			Progress:  &telemetry.Progress{},
+			Heartbeat: telemetry.NewHeartbeat(io.Discard, 10_000, metrics.New()),
 		}
 	})
 }

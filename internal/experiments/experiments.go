@@ -237,8 +237,10 @@ type Options struct {
 	// Faults, when non-nil, injects deterministic faults at the engine's
 	// hook points (chaos testing). See internal/faultinject.
 	Faults *faultinject.Plan
-	// Health, when non-nil, receives the sweep's retry/failure counters;
-	// when nil the runner allocates its own (see Runner.Health).
+	// Health, when non-nil, receives the sweep's run/retry/failure
+	// counters; when nil the runner allocates its own (see Runner.Health).
+	// Runner.Runs and DiskHits read it, so a Health shared by several
+	// runners counts all of them.
 	Health *telemetry.Health
 	// Metrics, when non-nil, is the registry the engine exposes itself on:
 	// health counters, the live per-run-key state table and every
@@ -274,8 +276,6 @@ type Runner struct {
 	sink       *system.MetricsSink
 
 	mu       sync.Mutex
-	runs     int
-	diskHits int
 	cacheErr error
 
 	// OnRun, when non-nil, is invoked after every simulation the runner
@@ -397,20 +397,12 @@ func (r *Runner) Interrupted() bool { return r.ctx.Err() != nil }
 func (r *Runner) Quarantined() int64 { return r.disk.Quarantined() }
 
 // Runs returns the number of simulations actually performed so far
-// (memoization and disk-cache hits excluded).
-func (r *Runner) Runs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs
-}
+// (memoization and disk-cache hits excluded): the Health Runs counter.
+func (r *Runner) Runs() int { return int(r.health.Runs.Load()) }
 
 // DiskHits returns how many results were served from the on-disk cache
-// instead of being simulated.
-func (r *Runner) DiskHits() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.diskHits
-}
+// instead of being simulated: the Health DiskHits counter.
+func (r *Runner) DiskHits() int { return int(r.health.DiskHits.Load()) }
 
 // CacheErr returns the first on-disk cache read/write failure observed, if
 // any. Cache failures never fail a sweep — the result is recomputed or kept
@@ -421,20 +413,15 @@ func (r *Runner) CacheErr() error {
 	return r.cacheErr
 }
 
+// ran counts one successful simulation and reports it to OnRun. Counting
+// under the lock gives every OnRun call its own run number.
 func (r *Runner) ran(key, name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.runs++
+	n := r.health.Runs.Add(1)
 	if r.OnRun != nil {
-		r.OnRun(key, name, r.runs)
+		r.OnRun(key, name, int(n))
 	}
-}
-
-func (r *Runner) noteDiskHit() {
-	r.mu.Lock()
-	r.diskHits++
-	r.mu.Unlock()
-	r.health.DiskHits.Add(1)
 }
 
 func (r *Runner) noteCacheErr(err error) {
@@ -446,14 +433,14 @@ func (r *Runner) noteCacheErr(err error) {
 	r.health.DiskErrors.Add(1)
 }
 
-// noteOutcome folds one governed run's outcome into the health counters.
+// noteOutcome folds one governed run's retries and failure into the health
+// counters; a success is counted by ran.
 func (r *Runner) noteOutcome(rr runner.RunResult) {
 	h := r.health
 	if rr.Attempts > 1 {
 		h.Retries.Add(int64(rr.Attempts - 1))
 	}
 	if rr.Err == nil {
-		h.Runs.Add(1)
 		return
 	}
 	h.Failures.Add(1)
@@ -541,7 +528,7 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 			r.noteCacheErr(lerr) // unreadable/undecodable entry: recompute below
 			r.recorder.Recordf(metrics.EventDiskError, id, 0, "load: %v", lerr)
 		} else if ok {
-			r.noteDiskHit()
+			r.health.DiskHits.Add(1)
 			r.runsTable.Cached(id)
 			src = SourceDisk
 			return fromDisk, nil

@@ -60,8 +60,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		runTimeout  = fs.Duration("run-timeout", 0, "abandon any single simulation after this long (0 = no limit)")
 		sweepBudget = fs.Duration("sweep-budget", 0, "stop starting new simulations after this long (0 = no limit)")
 		logLevel    = fs.String("log-level", "info", "stderr log verbosity: debug, info, warn or error")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /runs and /flightrecorder on this host:port (port 0 picks one)")
-		metricsLog  = fs.String("metrics-log", "", "append a JSONL metrics snapshot to this file every second")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /runs, /flightrecorder and /debug/pprof/ on this host:port (port 0 picks one)")
 		flightRec   = fs.String("flight-recorder", "", "dump the flight-recorder post-mortem here on permanent run failures (default: <cache-dir>/flight-recorder.jsonl)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -131,11 +130,10 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		}
 	}
 
-	// Observability: the registry backs /metrics, JSONL snapshots and the
-	// expvar export; the flight recorder collects structured events and is
-	// dumped on permanent run failures.
+	// Observability: the registry backs /metrics; the flight recorder
+	// collects structured events and is dumped on permanent run failures.
 	var reg *metrics.Registry
-	if *metricsAddr != "" || *metricsLog != "" {
+	if *metricsAddr != "" {
 		reg = metrics.New()
 	}
 	recSink := *flightRec
@@ -172,9 +170,6 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 			"n", runs, "key", key, "workload", name)
 	}
 
-	if reg != nil {
-		metrics.PublishExpvar("atcsim", reg)
-	}
 	if *metricsAddr != "" {
 		srv := &metrics.Server{
 			Registry: reg,
@@ -187,19 +182,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 			return exitUsage, err
 		}
 		log.Info("metrics endpoint listening", "addr", addr,
-			"endpoints", "/metrics /healthz /runs /flightrecorder")
-	}
-	if *metricsLog != "" {
-		f, err := os.Create(*metricsLog)
-		if err != nil {
-			return exitUsage, fmt.Errorf("cannot create -metrics-log %q: %v", *metricsLog, err)
-		}
-		defer f.Close()
-		stop := make(chan struct{})
-		defer close(stop)
-		go snapshotLoop(reg, f, stop, func(err error) {
-			log.Warn("metrics log write failed", "err", err)
-		})
+			"endpoints", "/metrics /healthz /runs /flightrecorder /debug/pprof/")
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the sweep — every
@@ -253,8 +236,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		reports = experiments.AllWith(runner)
 	}
 	if *progress {
-		log.Info("sweep complete", "runs", runner.Runs(), "disk_hits", runner.DiskHits())
-		log.Info("sweep health", healthAttrs(runner)...)
+		log.Info("sweep complete", healthAttrs(runner)...)
 	}
 	if err := runner.CacheErr(); err != nil {
 		log.Warn("result cache degraded", "err", err.Error())
@@ -328,38 +310,15 @@ func newLogger(w io.Writer, lvl slog.Level) *slog.Logger {
 	}))
 }
 
-// healthAttrs renders the sweep health counters as slog attributes.
+// healthAttrs renders the sweep health counters as slog attributes, runs
+// and disk hits first: `msg="sweep complete" runs=0` is how a resumed sweep
+// shows it re-simulated nothing.
 func healthAttrs(r *experiments.Runner) []any {
-	h := r.Health()
+	h := r.Health().Snapshot()
 	return []any{
-		"runs", h.Runs.Load(), "retries", h.Retries.Load(),
-		"failures", h.Failures.Load(), "panics", h.Panics.Load(),
-		"timeouts", h.Timeouts.Load(), "canceled", h.Canceled.Load(),
-		"disk_hits", h.DiskHits.Load(), "disk_errors", h.DiskErrors.Load(),
-		"quarantined", h.Quarantined.Load(),
-	}
-}
-
-// snapshotLoop appends one JSONL metrics snapshot to w every second until
-// stop closes, then writes a final snapshot so even sub-second sweeps leave
-// a usable log.
-func snapshotLoop(reg *metrics.Registry, w io.Writer, stop <-chan struct{}, onErr func(error)) {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	seq := 0
-	for {
-		select {
-		case <-tick.C:
-			if err := reg.WriteJSONLSnapshot(w, seq); err != nil {
-				onErr(err)
-				return
-			}
-			seq++
-		case <-stop:
-			if err := reg.WriteJSONLSnapshot(w, seq); err != nil {
-				onErr(err)
-			}
-			return
-		}
+		"runs", h.Runs, "disk_hits", h.DiskHits,
+		"retries", h.Retries, "failures", h.Failures, "panics", h.Panics,
+		"timeouts", h.Timeouts, "canceled", h.Canceled,
+		"disk_errors", h.DiskErrors, "quarantined", h.Quarantined,
 	}
 }

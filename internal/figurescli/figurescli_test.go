@@ -137,8 +137,9 @@ func TestQuickExperimentSucceeds(t *testing.T) {
 	if !strings.Contains(stdout, "== fig14:") {
 		t.Errorf("stdout missing report:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, `msg="sweep health" runs=`) {
-		t.Errorf("stderr missing health summary:\n%s", stderr)
+	if !strings.Contains(stderr, `msg="sweep complete" runs=`) ||
+		!strings.Contains(stderr, "quarantined=") || strings.Contains(stderr, "sweep health") {
+		t.Errorf("stderr lacks the one sweep summary line with the health counters:\n%s", stderr)
 	}
 	if !strings.Contains(stderr, `msg="run complete"`) || !strings.Contains(stderr, "key=baseline") {
 		t.Errorf("stderr missing per-run progress attributes:\n%s", stderr)
@@ -156,7 +157,7 @@ func TestLogLevelGatesProgress(t *testing.T) {
 	if code != exitOK || errMsg != "" {
 		t.Fatalf("code = %d, err = %q", code, errMsg)
 	}
-	if strings.Contains(stderr, `msg="run complete"`) || strings.Contains(stderr, "sweep health") {
+	if strings.Contains(stderr, `msg="run complete"`) || strings.Contains(stderr, "sweep complete") {
 		t.Errorf("-log-level error should suppress info logs:\n%s", stderr)
 	}
 	if code, errMsg, _, _ := run(t, "-log-level", "loud", "-list"); code != exitUsage ||

@@ -2,14 +2,12 @@ package metrics
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WriteOpenMetrics renders the registry in OpenMetrics text format:
@@ -86,67 +84,6 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteJSONLSnapshot writes one JSONL line mapping every rendered series
-// name to its current value — the sweep-side analogue of a heartbeat row.
-// Keys are emitted in registration order, so consecutive lines diff
-// cleanly. seq is a caller-maintained snapshot index.
-func (r *Registry) WriteJSONLSnapshot(w io.Writer, seq int) error {
-	samples := r.Gather()
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"snapshot":%d,"series":{`, seq)
-	for i, s := range samples {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%s", s.Name, formatValue(s.Value))
-	}
-	b.WriteString("}}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// expvarOnce guards against double expvar.Publish panics when tests build
-// multiple CLIs in one process.
-var expvarOnce sync.Map
-
-// PublishExpvar exposes the registry under the given expvar name as a
-// map[series]value, so any /debug/vars endpoint (e.g. atcsim -pprof-addr)
-// carries the full metrics view without a second registry. Repeated calls
-// with the same name rebind the variable to the latest registry.
-func PublishExpvar(name string, r *Registry) {
-	v, loaded := expvarOnce.LoadOrStore(name, &registryVar{r: r})
-	rv := v.(*registryVar)
-	rv.mu.Lock()
-	rv.r = r
-	rv.mu.Unlock()
-	if !loaded {
-		expvar.Publish(name, rv)
-	}
-}
-
-// registryVar adapts a Registry to the expvar.Var interface.
-type registryVar struct {
-	mu sync.Mutex
-	r  *Registry
-}
-
-// String renders the registry as a JSON object for expvar.
-func (v *registryVar) String() string {
-	v.mu.Lock()
-	r := v.r
-	v.mu.Unlock()
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, s := range r.Gather() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%s", s.Name, formatValue(s.Value))
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // Exposition-lint patterns: one compiled set shared by Lint callers (the

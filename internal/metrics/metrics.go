@@ -1,8 +1,8 @@
 // Package metrics is the simulator's unified, allocation-free metrics
 // layer: a typed registry of counters, gauges and bounded histograms with
 // hierarchical names and labels (`cache_misses_total{level="llc"}`),
-// exposed as Prometheus/OpenMetrics text, JSONL snapshots, expvar, and a
-// small HTTP server (/metrics, /healthz, /runs, /flightrecorder).
+// exposed as Prometheus/OpenMetrics text by a small HTTP server (/metrics,
+// /healthz, /runs, /flightrecorder, /debug/pprof/).
 //
 // Design rules, in descending order of importance:
 //

@@ -144,26 +144,6 @@ func TestLintCatchesMalformed(t *testing.T) {
 	}
 }
 
-func TestJSONLSnapshot(t *testing.T) {
-	r := New()
-	r.Counter("a_total", "").Add(3)
-	r.Gauge("b", "").Set(1.5)
-	var buf bytes.Buffer
-	if err := r.WriteJSONLSnapshot(&buf, 7); err != nil {
-		t.Fatal(err)
-	}
-	var row struct {
-		Snapshot int                `json:"snapshot"`
-		Series   map[string]float64 `json:"series"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &row); err != nil {
-		t.Fatalf("snapshot line is not JSON: %v\n%s", err, buf.String())
-	}
-	if row.Snapshot != 7 || row.Series["a_total"] != 3 || row.Series["b"] != 1.5 {
-		t.Fatalf("snapshot = %+v", row)
-	}
-}
-
 func TestRunTableLifecycle(t *testing.T) {
 	rt := NewRunTable()
 	rt.Queued("base/mcf", "abc123")
@@ -291,6 +271,14 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code, body, _ := get("/flightrecorder"); code != 200 || !strings.Contains(body, "run-started") {
 		t.Fatalf("/flightrecorder code=%d body=%q", code, body)
+	}
+	// The profiler shares the diagnostics port: the index lists the
+	// runtime profiles and the named handlers answer beside it.
+	if code, body, _ := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ code=%d body=%.200q", code, body)
+	}
+	if code, body, _ := get("/debug/pprof/cmdline"); code != 200 || body == "" {
+		t.Fatalf("/debug/pprof/cmdline code=%d body=%q", code, body)
 	}
 
 	unhealthy := &Server{Registry: r, Healthy: func() bool { return false }}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -11,7 +12,9 @@ import (
 // OpenMetrics text exposition.
 const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// Server bundles the registry and live tables one HTTP endpoint serves.
+// Server bundles the registry and live tables one HTTP endpoint serves. It
+// is a process's only diagnostics listener: metrics, run state, the flight
+// recorder and the Go profiler all share its port.
 type Server struct {
 	// Registry backs /metrics (required).
 	Registry *Registry
@@ -29,6 +32,7 @@ type Server struct {
 //	/healthz        liveness: 200 {"status":"ok"} (503 when Healthy() is false)
 //	/runs           live JSON of per-run-key state (see RunTable)
 //	/flightrecorder canonical JSONL dump of recent structured events
+//	/debug/pprof/   the Go runtime profiles (net/http/pprof)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -57,6 +61,11 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/jsonl")
 		s.Recorder.WriteTo(w)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

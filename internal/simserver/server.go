@@ -61,6 +61,7 @@ func Routes() []string {
 		"/metrics",
 		"/runs",
 		"/flightrecorder",
+		"/debug/pprof/",
 	}
 }
 
@@ -83,6 +84,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 //	GET  /metrics   OpenMetrics exposition (simserver_* + engine families)
 //	GET  /runs      live JSON of per-run-key state
 //	GET  /flightrecorder  canonical JSONL of recent structured events
+//	GET  /debug/pprof/    Go runtime profiles (net/http/pprof)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -108,6 +110,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/metrics", diag)
 	mux.Handle("/runs", diag)
 	mux.Handle("/flightrecorder", diag)
+	mux.Handle("/debug/pprof/", diag)
 	return mux
 }
 

@@ -231,7 +231,7 @@ func TestMetricsScrapeLintCleanAndComplete(t *testing.T) {
 		}
 	}
 	// The diagnostics endpoints are mounted.
-	for _, path := range []string{"/runs", "/flightrecorder"} {
+	for _, path := range []string{"/runs", "/flightrecorder", "/debug/pprof/", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

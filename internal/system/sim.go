@@ -73,8 +73,6 @@ type sim struct {
 	tracer    *telemetry.Tracer
 	hb        *telemetry.Heartbeat
 	hbEvery   uint64
-	onTick    func(telemetry.Snapshot)
-	progress  *telemetry.Progress
 	measuring bool
 	stepped   uint64 // measured instructions stepped (all cores)
 	ticked    uint64 // stepped count at the last heartbeat tick
@@ -349,8 +347,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 	s.tracer = cfg.Telemetry.TracerOrNil()
 	s.hb = cfg.Telemetry.HeartbeatOrNil()
 	s.hbEvery = uint64(s.hb.Every())
-	s.onTick = cfg.Telemetry.OnTickOrNil()
-	s.progress = cfg.Telemetry.ProgressOrNil()
 	if s.tracer != nil {
 		s.llc.SetTracer(s.tracer)
 		s.channel.SetTracer(s.tracer)
@@ -530,9 +526,6 @@ func (s *sim) phase(target int) {
 			if s.hb != nil && s.stepped%s.hbEvery == 0 {
 				s.heartbeatTick()
 			}
-			if s.progress != nil && s.stepped&8191 == 0 {
-				s.progress.Set(s.stepped)
-			}
 		}
 		if !pick.done && pick.phaseCount >= target {
 			pick.done = true
@@ -585,15 +578,10 @@ func (s *sim) resetStats() {
 }
 
 // heartbeatTick feeds the current cumulative snapshot to the heartbeat
-// engine and, when a Hub.OnTick bridge is installed, to the live metrics
-// gauges. OnTick rides the heartbeat cadence, so live scraping costs
-// nothing between ticks.
+// engine, which also refreshes any live gauges, so scraping costs nothing
+// between ticks.
 func (s *sim) heartbeatTick() {
-	sn := s.snapshot()
-	s.hb.Tick(sn)
-	if s.onTick != nil {
-		s.onTick(sn)
-	}
+	s.hb.Tick(s.snapshot())
 	s.ticked = s.stepped
 }
 
@@ -650,9 +638,6 @@ func (s *sim) run() *Result {
 	for _, c := range s.cores {
 		c.baseCycle = c.core.Cycle()
 	}
-	if s.progress != nil {
-		s.progress.SetTotal(uint64(s.cfg.Instructions) * uint64(len(s.cores)))
-	}
 	if s.hb != nil {
 		// Measurement-start baseline: the first interval rows difference
 		// against freshly reset counters.
@@ -665,9 +650,6 @@ func (s *sim) run() *Result {
 		// Flush the final partial interval so the rows' instruction counts
 		// sum to the measured total.
 		s.heartbeatTick()
-	}
-	if s.progress != nil {
-		s.progress.Set(s.stepped)
 	}
 	// Flush in-flight queue entries so collected stats (fills, writebacks,
 	// backpressure counters) cover every measured request.

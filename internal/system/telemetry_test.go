@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"testing"
 
+	"atcsim/internal/metrics"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
 )
 
 // Telemetry must be a pure observer: on every machine shape, timing engine,
 // translation mechanism and prefetcher setting, attaching the full hub
-// (tracer, heartbeat, progress, tick bridge) must leave the Result JSON
-// byte-identical to the bare run. The multi-core rows are the ones an
+// (tracer, plus a heartbeat streaming JSONL and setting registry gauges)
+// must leave the Result JSON byte-identical to the bare run. The multi-core rows are the ones an
 // observer-dependent scheduler or frame layout would break.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 	traces := map[string]*trace.Trace{}
@@ -74,12 +75,11 @@ func checkObserverNeutral(t *testing.T, cfg Config, run func(Config) (*Result, e
 	}
 	bare := marshal(cfg)
 
-	ticks := 0
+	var stream bytes.Buffer
+	reg := metrics.New()
 	hub := &telemetry.Hub{
 		Tracer:    telemetry.NewTracer(1<<12, 8),
-		Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 1_000),
-		Progress:  &telemetry.Progress{},
-		OnTick:    func(telemetry.Snapshot) { ticks++ },
+		Heartbeat: telemetry.NewHeartbeat(&stream, 1_000, reg),
 	}
 	cfg.Telemetry = hub
 	observed := marshal(cfg)
@@ -93,11 +93,28 @@ func checkObserverNeutral(t *testing.T, cfg Config, run func(Config) (*Result, e
 	if hub.Tracer.Sampled() == 0 || len(hub.Tracer.Events()) == 0 {
 		t.Error("tracer recorded nothing")
 	}
-	if ticks == 0 {
-		t.Error("heartbeat never ticked")
+	rows := hub.Heartbeat.Rows()
+	if len(rows) == 0 {
+		t.Fatal("heartbeat never ticked")
 	}
-	if total := hub.Progress.Total(); total == 0 || hub.Progress.Done() < total {
-		t.Errorf("progress done = %d, want at least the total %d", hub.Progress.Done(), total)
+	if err := hub.Heartbeat.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(stream.Bytes(), []byte("\n")); lines != len(rows) {
+		t.Errorf("heartbeat streamed %d JSONL lines for %d rows", lines, len(rows))
+	}
+	var counted uint64
+	for _, r := range rows {
+		counted += r.Instructions
+	}
+	gauge := -1.0
+	for _, s := range reg.Gather() {
+		if s.Name == "sim_instructions" {
+			gauge = s.Value
+		}
+	}
+	if gauge != float64(counted) {
+		t.Errorf("sim_instructions gauge = %v, heartbeat counted %d instructions", gauge, counted)
 	}
 }
 
@@ -118,11 +135,12 @@ func firstDiffContext(a, b []byte) []byte {
 	return a[lo:hi]
 }
 
-// Heartbeat rows must partition the measured phase: instruction counts sum
-// to the configured total and end cycles match the final result.
+// Heartbeat rows must partition the measured phase: instruction, stall,
+// DRAM-read and STLB-access counts sum to the final result's and end cycles
+// match it.
 func TestHeartbeatReconcilesWithResult(t *testing.T) {
 	cfg := quickCfg() // 60_000 measured instructions
-	hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000)
+	hb := telemetry.NewHeartbeat(nil, 10_000, nil)
 	cfg.Telemetry = &telemetry.Hub{Heartbeat: hb}
 	res, err := Run(cfg, buildTrace(t, "pr", 90_000))
 	if err != nil {
@@ -133,8 +151,7 @@ func TestHeartbeatReconcilesWithResult(t *testing.T) {
 	if want := cfg.Instructions / hb.Every(); len(rows) != want {
 		t.Fatalf("got %d heartbeat rows, want %d", len(rows), want)
 	}
-	var insts uint64
-	var stalls uint64
+	var insts, stalls, dramReads, stlbAccesses uint64
 	for i, r := range rows {
 		if r.Index != i {
 			t.Errorf("row %d has index %d", i, r.Index)
@@ -144,6 +161,8 @@ func TestHeartbeatReconcilesWithResult(t *testing.T) {
 		}
 		insts += r.Instructions
 		stalls += r.StallTranslation + r.StallReplay + r.StallNonReplay + r.StallOther
+		dramReads += r.DRAMReads
+		stlbAccesses += r.STLBAccesses
 	}
 	if insts != uint64(cfg.Instructions) {
 		t.Errorf("heartbeat instructions sum to %d, want %d", insts, cfg.Instructions)
@@ -158,6 +177,12 @@ func TestHeartbeatReconcilesWithResult(t *testing.T) {
 	}
 	if stalls != wantStalls {
 		t.Errorf("heartbeat stall cycles sum to %d, result has %d", stalls, wantStalls)
+	}
+	if dramReads == 0 || dramReads != res.DRAM.Reads {
+		t.Errorf("heartbeat DRAM reads sum to %d, result has %d", dramReads, res.DRAM.Reads)
+	}
+	if want := res.Cores[0].MMU.STLBAccesses; stlbAccesses == 0 || stlbAccesses != want {
+		t.Errorf("heartbeat STLB accesses sum to %d, result has %d", stlbAccesses, want)
 	}
 	// pr thrashes the STLB: the derived rates must reflect that.
 	if last.STLBMPKI <= 1 {

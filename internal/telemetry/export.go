@@ -8,8 +8,7 @@ import (
 // RegisterMetrics exposes the Health counters on a metrics registry as
 // runner_* counter series. The registry reads the same atomics the engine
 // bumps — there is no second copy of the counters, so Health and /metrics
-// can never disagree (this view also reaches expvar via
-// metrics.PublishExpvar, replacing the old ad-hoc expvar publishing).
+// can never disagree.
 func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("runner_runs_total", "Simulations by final outcome.",
 		func() float64 { return float64(h.Runs.Load()) }, metrics.L("outcome", "ok"))
@@ -31,11 +30,10 @@ func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(h.Quarantined.Load()) })
 }
 
-// SnapshotGauges is the registry-facing view of a live single simulation:
-// sim_* gauges fed from cumulative heartbeat Snapshots on the simulator
-// goroutine (Hub.OnTick), so a /metrics scrape mid-run sees
-// heartbeat-fresh counters without ever touching the per-request path.
-type SnapshotGauges struct {
+// simGauges are the sim_* gauges of a live simulation. A heartbeat built
+// with a registry sets them from every cumulative snapshot it ingests, on
+// the simulator goroutine, so scraping never touches the per-request path.
+type simGauges struct {
 	instructions metrics.Gauge
 	cycle        metrics.Gauge
 	l1dMisses    metrics.Gauge
@@ -54,9 +52,9 @@ type SnapshotGauges struct {
 // StallClass order (asserted in sync by the system layer's tests).
 var stallKindNames = [NumStallKinds]string{"translation", "replay", "non-replay", "other"}
 
-// NewSnapshotGauges registers the sim_* gauge set on a registry.
-func NewSnapshotGauges(reg *metrics.Registry) *SnapshotGauges {
-	g := &SnapshotGauges{
+// newSimGauges registers the sim_* gauge set on a registry.
+func newSimGauges(reg *metrics.Registry) *simGauges {
+	g := &simGauges{
 		instructions: reg.Gauge("sim_instructions", "Measured instructions stepped so far (live run)."),
 		cycle:        reg.Gauge("sim_cycle", "Max core cycle since measurement start (live run)."),
 		l1dMisses:    reg.Gauge("sim_cache_demand_misses", "Demand misses so far (live run).", metrics.L("level", "l1d")),
@@ -76,12 +74,8 @@ func NewSnapshotGauges(reg *metrics.Registry) *SnapshotGauges {
 	return g
 }
 
-// Publish folds one cumulative snapshot into the gauges. Nil-safe; called
-// from the simulator goroutine at heartbeat cadence.
-func (g *SnapshotGauges) Publish(sn Snapshot) {
-	if g == nil {
-		return
-	}
+// set folds one cumulative snapshot into the gauges.
+func (g *simGauges) set(sn Snapshot) {
 	demand := func(m [mem.NumClasses]uint64) uint64 {
 		return m[mem.ClassNonReplay] + m[mem.ClassReplay]
 	}

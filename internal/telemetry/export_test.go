@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // monotonically from zero.
 func TestHeartbeatJSONLFieldPresence(t *testing.T) {
 	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatJSONL, 1000)
+	hb := NewHeartbeat(&buf, 1000, nil)
 	hb.Begin(Snapshot{})
 	for i := 1; i <= 4; i++ {
 		hb.Tick(Snapshot{
@@ -35,9 +34,10 @@ func TestHeartbeatJSONLFieldPresence(t *testing.T) {
 	want := []string{
 		"interval", "end_cycle", "cycles", "instructions", "ipc",
 		"l1d_mpki", "l2_mpki", "llc_mpki", "llc_replay_mpki", "llc_leaf_mpki",
-		"stlb_miss_rate", "stlb_mpki", "trans_hit_rate",
+		"stlb_accesses", "stlb_miss_rate", "stlb_mpki",
+		"leaf_pte_reads", "leaf_pte_dram", "trans_hit_rate",
 		"stall_translation", "stall_replay", "stall_nonreplay", "stall_other",
-		"dram_row_hit_rate",
+		"dram_reads", "dram_row_hits", "dram_row_hit_rate",
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
@@ -93,11 +93,23 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	}
 }
 
-// TestSnapshotGauges publishes a cumulative snapshot and reads it back from
-// the registry.
-func TestSnapshotGauges(t *testing.T) {
+// TestHeartbeatGauges ticks a heartbeat built with a registry and reads the
+// cumulative snapshot back from the sim_* gauges.
+func TestHeartbeatGauges(t *testing.T) {
 	reg := metrics.New()
-	g := NewSnapshotGauges(reg)
+	hb := NewHeartbeat(nil, 1000, reg)
+	gauge := func(name string) float64 {
+		for _, s := range reg.Gather() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("series %s not registered", name)
+		return 0
+	}
+	if got := gauge("sim_instructions"); got != 0 {
+		t.Fatalf("sim_instructions = %v before the first tick", got)
+	}
 	var sn Snapshot
 	sn.Cycle = 5000
 	sn.Instructions = 12_345
@@ -106,41 +118,29 @@ func TestSnapshotGauges(t *testing.T) {
 	sn.L1DMisses[mem.ClassPrefetch] = 99 // not a demand class: excluded
 	sn.STLBMisses = 17
 	sn.Stalls[0] = 100
-	g.Publish(sn)
+	sn.DRAMReads = 9
+	hb.Begin(Snapshot{})
+	hb.Tick(sn)
 
-	got := map[string]float64{}
-	for _, s := range reg.Gather() {
-		got[s.Name] = s.Value
-	}
-	if got["sim_instructions"] != 12_345 {
-		t.Errorf("sim_instructions = %v", got["sim_instructions"])
-	}
-	if got[`sim_cache_demand_misses{level="l1d"}`] != 42 {
-		t.Errorf("l1d demand misses = %v, want 42", got[`sim_cache_demand_misses{level="l1d"}`])
-	}
-	if got["sim_stlb_misses"] != 17 {
-		t.Errorf("sim_stlb_misses = %v", got["sim_stlb_misses"])
-	}
-	if got[`sim_stall_cycles{class="translation"}`] != 100 {
-		t.Errorf("translation stalls = %v", got[`sim_stall_cycles{class="translation"}`])
+	for name, want := range map[string]float64{
+		"sim_instructions":                      12_345,
+		"sim_cycle":                             5000,
+		`sim_cache_demand_misses{level="l1d"}`:  42,
+		"sim_stlb_misses":                       17,
+		`sim_stall_cycles{class="translation"}`: 100,
+		"sim_dram_reads":                        9,
+	} {
+		if got := gauge(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 
-	var nilG *SnapshotGauges
-	nilG.Publish(sn) // must not panic
-}
+	// A second tick overwrites with the newer cumulative values.
+	sn.Instructions = 20_000
+	hb.Tick(sn)
+	if got := gauge("sim_instructions"); got != 20_000 {
+		t.Errorf("sim_instructions = %v after the second tick, want 20000", got)
+	}
 
-// TestHubOnTick checks the nil-safe accessor and delivery.
-func TestHubOnTick(t *testing.T) {
-	var nilHub *Hub
-	if nilHub.OnTickOrNil() != nil {
-		t.Fatal("nil hub returned a callback")
-	}
-	var seen []uint64
-	hub := &Hub{OnTick: func(sn Snapshot) { seen = append(seen, sn.Instructions) }}
-	for i := 1; i <= 3; i++ {
-		hub.OnTickOrNil()(Snapshot{Instructions: uint64(i)})
-	}
-	if fmt.Sprint(seen) != "[1 2 3]" {
-		t.Fatalf("seen = %v", seen)
-	}
+	NewHeartbeat(nil, 1000, nil).Tick(sn) // no registry: no gauges to set
 }

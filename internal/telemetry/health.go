@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Health aggregates sweep-level fault-tolerance counters: how many runs
 // completed, how many were retried, and how every failure was classified.
@@ -64,15 +61,4 @@ func (h *Health) Snapshot() HealthSnapshot {
 		DiskErrors:  h.DiskErrors.Load(),
 		Quarantined: h.Quarantined.Load(),
 	}
-}
-
-// String renders the snapshot as a stable single line for progress output,
-// e.g. "runs=12 retries=1 failures=1 panics=1 timeouts=0 canceled=0
-// disk_hits=3 disk_errors=0 quarantined=1".
-func (h *Health) String() string {
-	s := h.Snapshot()
-	return fmt.Sprintf(
-		"runs=%d retries=%d failures=%d panics=%d timeouts=%d canceled=%d disk_hits=%d disk_errors=%d quarantined=%d",
-		s.Runs, s.Retries, s.Failures, s.Panics, s.Timeouts, s.Canceled,
-		s.DiskHits, s.DiskErrors, s.Quarantined)
 }

@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"atcsim/internal/mem"
+	"atcsim/internal/metrics"
 )
 
 // NumStallKinds is the number of ROB-head stall classes mirrored from
@@ -39,7 +39,8 @@ type Snapshot struct {
 	DRAMRowMisses uint64
 }
 
-// Row is one derived heartbeat interval.
+// Row is one derived heartbeat interval. Counts are interval deltas; rates
+// and MPKIs are derived from them.
 type Row struct {
 	Index        int     `json:"interval"`
 	EndCycle     int64   `json:"end_cycle"`
@@ -53,8 +54,11 @@ type Row struct {
 	LLCReplayMPKI float64 `json:"llc_replay_mpki"`
 	LLCLeafMPKI   float64 `json:"llc_leaf_mpki"`
 
+	STLBAccesses uint64  `json:"stlb_accesses"`
 	STLBMissRate float64 `json:"stlb_miss_rate"`
 	STLBMPKI     float64 `json:"stlb_mpki"`
+	LeafPTEReads uint64  `json:"leaf_pte_reads"`
+	LeafPTEDRAM  uint64  `json:"leaf_pte_dram"`
 	TransHitRate float64 `json:"trans_hit_rate"`
 
 	StallTranslation uint64 `json:"stall_translation"`
@@ -62,6 +66,8 @@ type Row struct {
 	StallNonReplay   uint64 `json:"stall_nonreplay"`
 	StallOther       uint64 `json:"stall_other"`
 
+	DRAMReads      uint64  `json:"dram_reads"`
+	DRAMRowHits    uint64  `json:"dram_row_hits"`
 	DRAMRowHitRate float64 `json:"dram_row_hit_rate"`
 }
 
@@ -91,7 +97,8 @@ func DeltaRow(prev, cur Snapshot, index int) Row {
 	stlbMiss := cur.STLBMisses - prev.STLBMisses
 	leaf := cur.LeafReads - prev.LeafReads
 	leafDRAM := cur.LeafDRAM - prev.LeafDRAM
-	rowOps := (cur.DRAMRowHits - prev.DRAMRowHits) +
+	rowHits := cur.DRAMRowHits - prev.DRAMRowHits
+	rowOps := rowHits +
 		(cur.DRAMRowClosed - prev.DRAMRowClosed) +
 		(cur.DRAMRowMisses - prev.DRAMRowMisses)
 
@@ -107,8 +114,11 @@ func DeltaRow(prev, cur Snapshot, index int) Row {
 		LLCReplayMPKI: mpki(cur.LLCMisses[mem.ClassReplay]-prev.LLCMisses[mem.ClassReplay], insts),
 		LLCLeafMPKI:   mpki(cur.LLCMisses[mem.ClassTransLeaf]-prev.LLCMisses[mem.ClassTransLeaf], insts),
 
+		STLBAccesses: stlbAcc,
 		STLBMissRate: ratio(stlbMiss, stlbAcc),
 		STLBMPKI:     mpki(stlbMiss, insts),
+		LeafPTEReads: leaf,
+		LeafPTEDRAM:  leafDRAM,
 		TransHitRate: ratio(leaf-leafDRAM, leaf),
 
 		StallTranslation: cur.Stalls[0] - prev.Stalls[0],
@@ -116,7 +126,9 @@ func DeltaRow(prev, cur Snapshot, index int) Row {
 		StallNonReplay:   cur.Stalls[2] - prev.Stalls[2],
 		StallOther:       cur.Stalls[3] - prev.Stalls[3],
 
-		DRAMRowHitRate: ratio(cur.DRAMRowHits-prev.DRAMRowHits, rowOps),
+		DRAMReads:      cur.DRAMReads - prev.DRAMReads,
+		DRAMRowHits:    rowHits,
+		DRAMRowHitRate: ratio(rowHits, rowOps),
 	}
 	if cycles > 0 {
 		r.IPC = float64(insts) / float64(cycles)
@@ -124,29 +136,16 @@ func DeltaRow(prev, cur Snapshot, index int) Row {
 	return r
 }
 
-// Format selects the heartbeat stream encoding.
-type Format int
-
-// Heartbeat stream encodings.
-const (
-	FormatCSV Format = iota
-	FormatJSONL
-)
-
-// CSVHeader is the column order of FormatCSV rows.
-const CSVHeader = "interval,end_cycle,cycles,instructions,ipc," +
-	"l1d_mpki,l2_mpki,llc_mpki,llc_replay_mpki,llc_leaf_mpki," +
-	"stlb_miss_rate,stlb_mpki,trans_hit_rate," +
-	"stall_translation,stall_replay,stall_nonreplay,stall_other," +
-	"dram_row_hit_rate"
-
 // Heartbeat turns cumulative snapshots taken every Every() instructions into
-// interval rows, streaming them to an optional writer and retaining them for
-// programmatic access. Like the tracer it is a pure observer.
+// interval rows, streaming them to an optional writer as JSON Lines and
+// retaining them for programmatic access. Built with a registry, it also
+// sets the live sim_* gauges from every snapshot it ingests, so a /metrics
+// scrape mid-run sees the counters as of the last tick. Like the tracer it
+// is a pure observer.
 type Heartbeat struct {
 	every  int
 	w      io.Writer
-	format Format
+	gauges *simGauges
 	prev   Snapshot
 	rows   []Row
 	err    error
@@ -154,12 +153,16 @@ type Heartbeat struct {
 
 // NewHeartbeat creates a heartbeat engine snapshotting every `every`
 // instructions (non-positive falls back to 100_000). w may be nil to only
-// retain rows in memory.
-func NewHeartbeat(w io.Writer, format Format, every int) *Heartbeat {
+// retain rows in memory; reg may be nil for no gauges.
+func NewHeartbeat(w io.Writer, every int, reg *metrics.Registry) *Heartbeat {
 	if every <= 0 {
 		every = 100_000
 	}
-	return &Heartbeat{every: every, w: w, format: format}
+	h := &Heartbeat{every: every, w: w}
+	if reg != nil {
+		h.gauges = newSimGauges(reg)
+	}
+	return h
 }
 
 // Every returns the snapshot period in instructions.
@@ -170,21 +173,17 @@ func (h *Heartbeat) Every() int {
 	return h.every
 }
 
-// Begin records the measurement-start baseline and emits the CSV header.
+// Begin records the measurement-start baseline.
 func (h *Heartbeat) Begin(s Snapshot) {
 	if h == nil {
 		return
 	}
 	h.prev = s
-	if h.w != nil && h.format == FormatCSV {
-		_, err := fmt.Fprintln(h.w, CSVHeader)
-		h.setErr(err)
-	}
 }
 
-// Tick ingests the next cumulative snapshot, derives the interval row,
-// streams and retains it. Ticks before Begin difference against the zero
-// snapshot.
+// Tick ingests the next cumulative snapshot: it derives, streams and
+// retains the interval row and sets the gauges. Ticks before Begin
+// difference against the zero snapshot.
 func (h *Heartbeat) Tick(s Snapshot) Row {
 	if h == nil {
 		return Row{}
@@ -192,38 +191,17 @@ func (h *Heartbeat) Tick(s Snapshot) Row {
 	row := DeltaRow(h.prev, s, len(h.rows))
 	h.prev = s
 	h.rows = append(h.rows, row)
-	h.write(row)
-	return row
-}
-
-func (h *Heartbeat) write(r Row) {
-	if h.w == nil {
-		return
-	}
-	switch h.format {
-	case FormatJSONL:
-		b, err := json.Marshal(r)
+	if h.w != nil && h.err == nil {
+		b, err := json.Marshal(row)
 		if err == nil {
-			b = append(b, '\n')
-			_, err = h.w.Write(b)
+			_, err = h.w.Write(append(b, '\n'))
 		}
-		h.setErr(err)
-	default:
-		_, err := fmt.Fprintf(h.w,
-			"%d,%d,%d,%d,%.6f,%.4f,%.4f,%.4f,%.4f,%.4f,%.6f,%.4f,%.6f,%d,%d,%d,%d,%.6f\n",
-			r.Index, r.EndCycle, r.Cycles, r.Instructions, r.IPC,
-			r.L1DMPKI, r.L2MPKI, r.LLCMPKI, r.LLCReplayMPKI, r.LLCLeafMPKI,
-			r.STLBMissRate, r.STLBMPKI, r.TransHitRate,
-			r.StallTranslation, r.StallReplay, r.StallNonReplay, r.StallOther,
-			r.DRAMRowHitRate)
-		h.setErr(err)
-	}
-}
-
-func (h *Heartbeat) setErr(err error) {
-	if h.err == nil && err != nil {
 		h.err = err
 	}
+	if h.gauges != nil {
+		h.gauges.set(s)
+	}
+	return row
 }
 
 // Rows returns every interval row produced so far.

@@ -29,7 +29,7 @@ func TestNilTracerIsInert(t *testing.T) {
 		t.Fatal("nil tracer retained state")
 	}
 	var hub *Hub
-	if hub.TracerOrNil() != nil || hub.HeartbeatOrNil() != nil || hub.ProgressOrNil() != nil {
+	if hub.TracerOrNil() != nil || hub.HeartbeatOrNil() != nil {
 		t.Fatal("nil hub returned a facility")
 	}
 }
@@ -236,46 +236,24 @@ func TestDeltaRowZeroDenominators(t *testing.T) {
 	}
 }
 
-func TestHeartbeatCSV(t *testing.T) {
+// The heartbeat streams one JSON object per interval, differenced against
+// the Begin baseline, and retains the same rows in memory.
+func TestHeartbeatJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatCSV, 1000)
+	hb := NewHeartbeat(&buf, 500, nil)
 	hb.Begin(Snapshot{Cycle: 100, Instructions: 50})
-	hb.Tick(Snapshot{Cycle: 600, Instructions: 1050})
-	hb.Tick(Snapshot{Cycle: 1100, Instructions: 2050})
+	hb.Tick(Snapshot{Cycle: 350, Instructions: 550})
+	hb.Tick(Snapshot{Cycle: 800, Instructions: 1050})
 	if err := hb.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != CSVHeader {
-		t.Fatalf("header = %q", lines[0])
-	}
-	wantCols := strings.Count(CSVHeader, ",") + 1
-	for i, ln := range lines[1:] {
-		if got := strings.Count(ln, ",") + 1; got != wantCols {
-			t.Fatalf("row %d has %d columns, want %d: %q", i, got, wantCols, ln)
-		}
-	}
-	rows := hb.Rows()
-	if len(rows) != 2 || rows[0].Instructions != 1000 || rows[1].Instructions != 1000 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Index != 0 || rows[1].Index != 1 {
-		t.Fatalf("row indices = %d,%d", rows[0].Index, rows[1].Index)
-	}
-}
-
-func TestHeartbeatJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatJSONL, 500)
-	hb.Begin(Snapshot{})
-	hb.Tick(Snapshot{Cycle: 250, Instructions: 500})
-	hb.Tick(Snapshot{Cycle: 700, Instructions: 1000})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d JSONL lines, want 2", len(lines))
+	}
+	rows := hb.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("retained %d rows, want 2", len(rows))
 	}
 	for i, ln := range lines {
 		var r Row
@@ -285,6 +263,12 @@ func TestHeartbeatJSONL(t *testing.T) {
 		if r.Index != i || r.Instructions != 500 {
 			t.Fatalf("line %d decoded to %+v", i, r)
 		}
+		if r != rows[i] {
+			t.Fatalf("line %d = %+v, retained row %+v", i, r, rows[i])
+		}
+	}
+	if rows[0].Cycles != 250 || rows[1].Cycles != 450 {
+		t.Fatalf("row cycles = %d,%d, want 250,450", rows[0].Cycles, rows[1].Cycles)
 	}
 }
 
@@ -296,20 +280,5 @@ func TestNilHeartbeat(t *testing.T) {
 	}
 	if hb.Rows() != nil || hb.Err() != nil || hb.Every() != 0 {
 		t.Fatal("nil heartbeat retained state")
-	}
-}
-
-func TestProgress(t *testing.T) {
-	var p *Progress
-	p.SetTotal(10) // nil-safe
-	p.Set(3)
-	if p.Done() != 0 || p.Total() != 0 {
-		t.Fatal("nil progress retained state")
-	}
-	p = &Progress{}
-	p.SetTotal(300_000)
-	p.Set(120_000)
-	if p.Done() != 120_000 || p.Total() != 300_000 {
-		t.Fatalf("progress = %d/%d", p.Done(), p.Total())
 	}
 }

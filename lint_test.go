@@ -177,8 +177,8 @@ var readmeRowRe = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
 
 // TestREADMEFlagTables diffs the README's per-tool flag tables against the
 // flag definitions in the sources, both directions, so the CLI reference
-// cannot silently drift again (the -metrics-addr/-metrics-log/-log-level
-// trio once existed only in the code).
+// cannot silently drift again (-metrics-addr and -log-level once existed
+// only in the code).
 func TestREADMEFlagTables(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -240,7 +240,7 @@ func TestUsageDocMentionsFlags(t *testing.T) {
 		mustShow        []string
 	}{
 		{"cmd/atcsim/main.go", "cmd/atcsim/main.go",
-			[]string{"-mechanism", "-timing", "-metrics-addr", "-metrics-log", "-trace-out"}},
+			[]string{"-mechanism", "-timing", "-metrics-addr", "-interval-stats", "-trace-out"}},
 		{"cmd/figures/main.go", "internal/figurescli/figurescli.go",
 			[]string{"-list-mechanisms", "-timing", "-metrics-addr", "-log-level", "-flight-recorder"}},
 		{"cmd/atcsimd/main.go", "cmd/atcsimd/main.go",
@@ -321,7 +321,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 	reg := metrics.New()
 	new(telemetry.Health).RegisterMetrics(reg)
 	system.NewMetricsSink(reg)
-	telemetry.NewSnapshotGauges(reg)
+	telemetry.NewHeartbeat(nil, 0, reg) // registers the sim_* gauges
 	metrics.NewRunTable().Register(reg)
 	metrics.NewFlightRecorder(0).Register(reg)
 
