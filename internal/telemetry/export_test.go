@@ -93,9 +93,9 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	}
 }
 
-// TestHeartbeatGauges ticks a heartbeat built with a registry and reads the
+// TestSnapshotGauges ticks a heartbeat built with a registry and reads the
 // cumulative snapshot back from the sim_* gauges.
-func TestHeartbeatGauges(t *testing.T) {
+func TestSnapshotGauges(t *testing.T) {
 	reg := metrics.New()
 	hb := NewHeartbeat(nil, 1000, reg)
 	gauge := func(name string) float64 {
@@ -143,4 +143,47 @@ func TestHeartbeatGauges(t *testing.T) {
 	}
 
 	NewHeartbeat(nil, 1000, nil).Tick(sn) // no registry: no gauges to set
+}
+
+// TestHubOnTick checks the nil-safe heartbeat accessor and that ticks driven
+// through a hub reach both the interval rows and the live gauges.
+func TestHubOnTick(t *testing.T) {
+	var nilHub *Hub
+	if r := nilHub.HeartbeatOrNil().Tick(Snapshot{Instructions: 7}); r != (Row{}) {
+		t.Fatalf("nil hub's heartbeat produced %+v", r)
+	}
+	if (&Hub{}).HeartbeatOrNil() != nil {
+		t.Fatal("hub without a heartbeat returned one")
+	}
+	reg := metrics.New()
+	hub := &Hub{Heartbeat: NewHeartbeat(nil, 1, reg)}
+	hb := hub.HeartbeatOrNil()
+	if hb != hub.Heartbeat {
+		t.Fatal("HeartbeatOrNil did not return the hub's heartbeat")
+	}
+	hb.Begin(Snapshot{})
+	for i := uint64(1); i <= 3; i++ {
+		hb.Tick(Snapshot{Cycle: 10 * int64(i), Instructions: i})
+	}
+	rows := hb.Rows()
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
+	}
+	for i, r := range rows {
+		if r.Index != i || r.Instructions != 1 || r.Cycles != 10 {
+			t.Fatalf("row %d = %+v", i, r)
+		}
+	}
+	found := false
+	for _, s := range reg.Gather() {
+		if s.Name == "sim_instructions" {
+			found = true
+			if s.Value != 3 {
+				t.Fatalf("sim_instructions = %v after three ticks, want 3", s.Value)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("sim_instructions not registered")
+	}
 }
